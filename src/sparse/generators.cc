@@ -5,6 +5,7 @@
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "sparse/row_blocks.hh"
 
 namespace netsparse {
 
@@ -154,6 +155,13 @@ RowEmitter::RowEmitter(const GeneratorParams &gp) : p_(gp)
             rows_ = p.rows;
             if constexpr (std::is_same_v<T, WebCrawlParams>) {
                 ns_assert(p.rows > 1, "web crawl needs at least 2 rows");
+                // Regions start in [0, rows - regionWidth) and span
+                // regionWidth pages, so both bounds keep links in range.
+                ns_assert(p.regionWidth > 0,
+                          "web crawl regions need at least 1 page");
+                ns_assert(p.regionWidth < p.rows,
+                          "web crawl region width ", p.regionWidth,
+                          " must be below the row count ", p.rows);
                 // Foreign host regions: zipf-popular link-target
                 // neighborhoods, scattered across the index space by a
                 // hash so popularity is not correlated with the
@@ -225,22 +233,23 @@ generatorRows(const GeneratorParams &p)
 }
 
 Coo
-makeMatrix(const GeneratorParams &gp)
+makeMatrix(const GeneratorParams &gp, unsigned workers)
 {
     RowEmitter gen(gp);
+    std::vector<RowBlock> blocks =
+        emitRowBlocks(gen, 0, gen.rows(), workers);
+    std::size_t nnz = 0;
+    for (const RowBlock &b : blocks)
+        nnz += b.cols.size();
     Coo m;
     m.rows = m.cols = gen.rows();
-    auto expect = static_cast<std::size_t>(
-        gen.rows() * std::max(1.0, gen.expectedDegree()));
-    m.rowIdx.reserve(expect);
-    m.colIdx.reserve(expect);
-    std::vector<std::uint32_t> cols;
-    for (std::uint32_t r = 0; r < gen.rows(); ++r) {
-        cols.clear();
-        gen.emitRow(r, cols);
-        for (auto c : cols)
-            m.push(r, c);
-    }
+    m.rowIdx.reserve(nnz);
+    m.colIdx.reserve(nnz);
+    consumeRowBlocks(
+        blocks, 0, [&](std::uint32_t r, std::span<const std::uint32_t> cols) {
+            m.rowIdx.insert(m.rowIdx.end(), cols.size(), r);
+            m.colIdx.insert(m.colIdx.end(), cols.begin(), cols.end());
+        });
     return m;
 }
 
@@ -350,11 +359,28 @@ benchmarkParams(MatrixKind kind, double scale)
 }
 
 Csr
-makeBenchmarkMatrix(MatrixKind kind, double scale)
+makeBenchmarkMatrix(MatrixKind kind, double scale, unsigned workers)
 {
-    Coo coo = makeMatrix(benchmarkParams(kind, scale));
-    coo.validate();
-    return Csr::fromCoo(coo);
+    // Rows arrive in order, so the CSR is built directly: the same
+    // arrays Csr::fromCoo(makeMatrix(...)) yields, without the COO.
+    RowEmitter gen(benchmarkParams(kind, scale));
+    std::vector<RowBlock> blocks =
+        emitRowBlocks(gen, 0, gen.rows(), workers);
+    std::size_t nnz = 0;
+    for (const RowBlock &b : blocks)
+        nnz += b.cols.size();
+    Csr m;
+    m.rows = m.cols = gen.rows();
+    m.rowPtr.reserve(static_cast<std::size_t>(m.rows) + 1);
+    m.rowPtr.push_back(0);
+    m.colIdx.reserve(nnz);
+    consumeRowBlocks(
+        blocks, 0, [&](std::uint32_t, std::span<const std::uint32_t> cols) {
+            m.colIdx.insert(m.colIdx.end(), cols.begin(), cols.end());
+            m.rowPtr.push_back(m.colIdx.size());
+        });
+    m.validate();
+    return m;
 }
 
 std::vector<BenchmarkMatrix>

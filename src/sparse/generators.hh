@@ -129,8 +129,13 @@ using GeneratorParams = std::variant<WebCrawlParams, RoadNetworkParams,
 /** Row count described by a parameter set. */
 std::uint32_t generatorRows(const GeneratorParams &p);
 
-/** Materialize the matrix a parameter set describes. */
-Coo makeMatrix(const GeneratorParams &p);
+/**
+ * Materialize the matrix a parameter set describes, generating rows on
+ * @p workers threads (0: the host's hardware concurrency; see
+ * emitRowBlocks() in sparse/row_blocks.hh). The output does not depend
+ * on the worker count.
+ */
+Coo makeMatrix(const GeneratorParams &p, unsigned workers = 0);
 
 /**
  * Single-row emitter over any generator.
@@ -192,8 +197,12 @@ GeneratorParams benchmarkParams(MatrixKind kind, double scale = 1.0);
  *        sizes, which are roughly 100-200x smaller than the SuiteSparse
  *        originals but preserve per-node structure at 128 nodes; see
  *        paperScale() in sparse/stream_gen.hh for full-size runs).
+ * @param workers generation threads, as for makeMatrix(); the output
+ *        equals Csr::fromCoo(makeMatrix(benchmarkParams(kind, scale)))
+ *        for any value.
  */
-Csr makeBenchmarkMatrix(MatrixKind kind, double scale = 1.0);
+Csr makeBenchmarkMatrix(MatrixKind kind, double scale = 1.0,
+                        unsigned workers = 0);
 
 /** A named benchmark matrix. */
 struct BenchmarkMatrix

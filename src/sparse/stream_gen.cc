@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sparse/row_blocks.hh"
 
 namespace netsparse {
 
@@ -22,7 +23,8 @@ PartitionedMatrix::takeStreams()
 
 PartitionedMatrix
 buildPartitionedMatrix(const GeneratorParams &params,
-                       std::uint32_t numNodes, std::uint32_t chunkRows)
+                       std::uint32_t numNodes, std::uint32_t chunkRows,
+                       unsigned workers)
 {
     ns_assert(numNodes > 0, "need at least one node");
     ns_assert(chunkRows > 0, "chunk must hold at least one row");
@@ -43,31 +45,23 @@ buildPartitionedMatrix(const GeneratorParams &params,
             pm.part.size(n) * std::max(1.0, gen.expectedDegree())));
     }
 
-    // One bounded scratch buffer: rows of the current chunk, back to
-    // back, with per-row end offsets. Chunking only bounds transient
+    // Rows are generated one chunk at a time, split over the workers,
+    // so transient memory is one chunk. Chunking only bounds that
     // memory - rows are appended to their owners in global row order
-    // regardless, so any chunkRows yields identical partitions.
-    std::vector<std::uint32_t> chunk_cols;
-    std::vector<std::size_t> row_ends;
+    // regardless, so any chunkRows or worker count yields identical
+    // partitions.
     for (std::uint32_t base = 0; base < rows; base += chunkRows) {
-        std::uint32_t count =
-            std::min<std::uint32_t>(chunkRows, rows - base);
-        chunk_cols.clear();
-        row_ends.clear();
-        for (std::uint32_t i = 0; i < count; ++i) {
-            gen.emitRow(base + i, chunk_cols);
-            row_ends.push_back(chunk_cols.size());
-        }
-        std::size_t row_begin = 0;
-        for (std::uint32_t i = 0; i < count; ++i) {
-            NodeCsr &dst = pm.nodes[pm.part.ownerOf(base + i)];
-            dst.colIdx.insert(dst.colIdx.end(),
-                              chunk_cols.begin() + row_begin,
-                              chunk_cols.begin() + row_ends[i]);
-            dst.rowPtr.push_back(dst.colIdx.size());
-            row_begin = row_ends[i];
-        }
-        pm.nnz += chunk_cols.size();
+        std::uint32_t end = base + std::min(chunkRows, rows - base);
+        std::vector<RowBlock> blocks = emitRowBlocks(gen, base, end, workers);
+        consumeRowBlocks(
+            blocks, base,
+            [&](std::uint32_t r, std::span<const std::uint32_t> cols) {
+                NodeCsr &dst = pm.nodes[pm.part.ownerOf(r)];
+                dst.colIdx.insert(dst.colIdx.end(), cols.begin(),
+                                  cols.end());
+                dst.rowPtr.push_back(dst.colIdx.size());
+                pm.nnz += cols.size();
+            });
     }
     for (NodeId n = 0; n < numNodes; ++n)
         ns_assert(pm.nodes[n].numRows() == pm.part.size(n),

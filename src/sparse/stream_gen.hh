@@ -13,8 +13,9 @@
  * indices plus row pointers) plus one bounded chunk buffer. No global
  * COO or CSR is ever held.
  *
- * Determinism contract: buildPartitionedMatrix(params, nodes, chunk)
- * yields byte-identical per-node partitions for any chunkRows value,
+ * Determinism contract: buildPartitionedMatrix(params, nodes, chunk,
+ * workers) yields byte-identical per-node partitions for any chunkRows
+ * value and any worker count,
  * and its concatenated rows equal Csr::fromCoo(makeMatrix(params))
  * exactly (fromCoo's counting sort is stable, so both paths carry each
  * row's columns in emission order). docs/scaling.md works through the
@@ -78,11 +79,13 @@ struct PartitionedMatrix
  * @param chunkRows rows emitted per chunk buffer; any value yields
  *        identical output (the default balances buffer size against
  *        loop overhead).
+ * @param workers threads each chunk's rows are split over, as for
+ *        makeMatrix(); any value yields identical output.
  */
 PartitionedMatrix buildPartitionedMatrix(const GeneratorParams &params,
                                          std::uint32_t numNodes,
-                                         std::uint32_t chunkRows = 1
-                                             << 16);
+                                         std::uint32_t chunkRows = 1 << 16,
+                                         unsigned workers = 0);
 
 /** Streamed benchmarkParams(kind, scale) analogue. */
 PartitionedMatrix buildPartitionedBenchmark(MatrixKind kind, double scale,

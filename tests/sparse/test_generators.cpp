@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "sparse/generators.hh"
 
@@ -57,6 +58,23 @@ TEST(Generators, WebCrawlHasPopularColumns)
         max_indeg = std::max(max_indeg, t.rowDegree(c));
     // Power-law reuse: the hottest column is far above the average.
     EXPECT_GT(max_indeg, 50 * static_cast<std::uint64_t>(avgDegree(m)));
+}
+
+TEST(Generators, WebCrawlRejectsRegionWidthsOutsideTheRows)
+{
+    // Region bases are drawn modulo rows - regionWidth: equal values
+    // divided by zero, and a wider region or a zero width wrapped the
+    // unsigned arithmetic into column indices past the last row.
+    WebCrawlParams p;
+    p.rows = 64;
+    p.regionWidth = 64;
+    EXPECT_THROW(RowEmitter{p}, std::logic_error);
+    p.regionWidth = 65;
+    EXPECT_THROW(RowEmitter{p}, std::logic_error);
+    p.regionWidth = 0;
+    EXPECT_THROW(RowEmitter{p}, std::logic_error);
+    p.regionWidth = 63;
+    EXPECT_NO_THROW(makeWebCrawl(p).validate());
 }
 
 TEST(Generators, RoadNetworkIsSparseAndNearDiagonal)
