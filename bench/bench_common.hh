@@ -13,8 +13,12 @@
 #ifndef NETSPARSE_BENCH_COMMON_HH
 #define NETSPARSE_BENCH_COMMON_HH
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -28,6 +32,63 @@
 
 namespace netsparse::bench {
 
+/** Exit 2 with a message naming environment variable @p name. */
+[[noreturn]] inline void
+badEnv(const char *name, const char *value, const std::string &expected)
+{
+    std::fprintf(stderr, "%s: expected %s, got '%s'\n", name,
+                 expected.c_str(), value);
+    std::exit(2);
+}
+
+/**
+ * Integer environment variable @p name, or @p fallback when it is unset
+ * or empty. Anything but a plain integer >= @p min exits 2 naming the
+ * variable: a silent fallback would start a full-scale sweep.
+ */
+inline std::uint32_t
+envCount(const char *name, std::uint32_t min, std::uint32_t fallback)
+{
+    const char *env = std::getenv(name);
+    if (!env || !*env)
+        return fallback;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(env, &end, 10);
+    if (errno != 0 || end == env || *end != '\0' ||
+        std::strchr(env, '-') != nullptr || v < min || v > UINT32_MAX)
+        badEnv(name, env, "an integer >= " + std::to_string(min));
+    return static_cast<std::uint32_t>(v);
+}
+
+/** Scale factor for benchmark matrices (env NETSPARSE_BENCH_SCALE). */
+inline double
+benchScale(double fallback = 1.0)
+{
+    const char *env = std::getenv("NETSPARSE_BENCH_SCALE");
+    if (!env || !*env)
+        return fallback;
+    char *end = nullptr;
+    double v = std::strtod(env, &end);
+    if (end == env || *end != '\0' || !std::isfinite(v) || v <= 0)
+        badEnv("NETSPARSE_BENCH_SCALE", env, "a positive number");
+    return v;
+}
+
+/** Number of cluster nodes (env NETSPARSE_BENCH_NODES, default 128). */
+inline std::uint32_t
+benchNodes(std::uint32_t fallback = 128)
+{
+    return envCount("NETSPARSE_BENCH_NODES", 2, fallback);
+}
+
+/** Sweep worker count (env NETSPARSE_BENCH_JOBS, default 1). */
+inline unsigned
+benchJobs()
+{
+    return envCount("NETSPARSE_BENCH_JOBS", 1, 1);
+}
+
 /**
  * Wire the shared observability flags into a bench binary: every bench
  * accepts `--trace-out FILE` (Chrome-trace/Perfetto event trace),
@@ -40,6 +101,10 @@ namespace netsparse::bench {
  * fallbacks so CI can collect artifacts without touching command
  * lines. Outputs are finalized at process exit. See
  * docs/observability.md for the schemas.
+ *
+ * Everything is checked before any work starts: an output path that
+ * cannot be created exits 1 ("cannot open --<flag> output"), and a
+ * malformed NETSPARSE_BENCH_SCALE / _NODES / _JOBS exits 2.
  */
 inline void
 initObservability(int argc, char **argv)
@@ -58,43 +123,24 @@ initObservability(int argc, char **argv)
         else if (std::string(argv[i]) == "--spans-out")
             spans = argv[i + 1];
     }
-    if (trace && *trace)
-        TraceWriter::instance().open(trace);
-    if (stats && *stats)
-        StatsExport::instance().setOutputPath(stats);
-    if (telemetry && *telemetry)
-        TelemetrySink::instance().setOutputPath(telemetry);
-    if (spans && *spans)
-        SpanSink::instance().setOutputPath(spans);
-}
+    // Parsed here only to reject malformed values before any work.
+    benchScale();
+    benchNodes();
+    benchJobs();
 
-/** Scale factor for benchmark matrices (env NETSPARSE_BENCH_SCALE). */
-inline double
-benchScale(double fallback = 1.0)
-{
-    const char *env = std::getenv("NETSPARSE_BENCH_SCALE");
-    if (!env)
-        return fallback;
-    double v = std::atof(env);
-    return v > 0 ? v : fallback;
-}
-
-/** Number of cluster nodes (env NETSPARSE_BENCH_NODES, default 128). */
-inline std::uint32_t
-benchNodes(std::uint32_t fallback = 128)
-{
-    const char *env = std::getenv("NETSPARSE_BENCH_NODES");
-    if (!env)
-        return fallback;
-    int v = std::atoi(env);
-    return v > 1 ? static_cast<std::uint32_t>(v) : fallback;
-}
-
-/** Sweep worker count (env NETSPARSE_BENCH_JOBS, default 1). */
-inline unsigned
-benchJobs()
-{
-    return SweepExecutor::jobsFromEnv();
+    auto fail = [](const char *flag, const char *path) {
+        std::fprintf(stderr, "cannot open --%s output %s\n", flag, path);
+        std::exit(1);
+    };
+    if (trace && *trace && !TraceWriter::instance().open(trace))
+        fail("trace-out", trace);
+    if (stats && *stats && !StatsExport::instance().setOutputPath(stats))
+        fail("stats-json", stats);
+    if (telemetry && *telemetry &&
+        !TelemetrySink::instance().setOutputPath(telemetry))
+        fail("telemetry-out", telemetry);
+    if (spans && *spans && !SpanSink::instance().setOutputPath(spans))
+        fail("spans-out", spans);
 }
 
 /**

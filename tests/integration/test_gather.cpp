@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "analysis/comm_pattern.hh"
 #include "runtime/cluster.hh"
+#include "sim/stats_export.hh"
 #include "sparse/generators.hh"
 
 using namespace netsparse;
@@ -293,4 +295,36 @@ TEST(Gather, DeterministicAcrossRuns)
     EXPECT_EQ(a.cacheHits, b.cacheHits);
     for (NodeId n = 0; n < nodes; ++n)
         EXPECT_EQ(a.nodes[n].finishTick, b.nodes[n].finishTick);
+}
+
+// The gated cluster.memory.* arena export (sim/arena.hh): absent by
+// default so the stats document stays byte-identical, present under
+// ClusterConfig::memoryStats. The suite name predates this file and is
+// kept so the test id stays stable.
+TEST(Fidelity, MemoryStatsAreGated)
+{
+    Csr m = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
+    Partition1D part = Partition1D::equalRows(m.rows, 16);
+    auto runToJson = [&](const ClusterConfig &cfg) {
+        StatsExport collector;
+        collector.setCollect(true);
+        StatsExport::Bind bind(collector);
+        ClusterSim(cfg).runGather(m, part, 16);
+        return collector.toJson();
+    };
+
+    // Off by default: no cluster.memory.* keys, so the document stays
+    // byte-identical to pre-arena collectors.
+    std::string off = runToJson(smallCluster(16));
+    EXPECT_EQ(off.find("cluster.memory."), std::string::npos);
+
+    ClusterConfig cfg = smallCluster(16);
+    cfg.memoryStats = true;
+    std::string on = runToJson(cfg);
+    EXPECT_NE(on.find("cluster.memory.arenaReservedBytes"),
+              std::string::npos);
+    EXPECT_NE(on.find("cluster.memory.arenaHighWaterBytes"),
+              std::string::npos);
+    EXPECT_NE(on.find("cluster.memory.arenaPoolHits"),
+              std::string::npos);
 }
