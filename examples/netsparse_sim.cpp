@@ -276,10 +276,6 @@ main(int argc, char **argv)
     if (k < 1 || k > 128 || nodes < 2)
         usage(argv[0]);
 
-    // --- Workload ---
-    Csr m;
-    GatherWorkload work;
-    std::uint64_t mat_rows = 0, mat_cols = 0, mat_nnz = 0;
     bool named = false;
     MatrixKind named_kind = MatrixKind::Arabic;
     for (auto kind : allMatrixKinds()) {
@@ -288,18 +284,91 @@ main(int argc, char **argv)
             named_kind = kind;
         }
     }
+    if (stream && !named) {
+        std::fprintf(stderr,
+                     "--stream generates; it cannot read a .mtx file\n");
+        return 1;
+    }
+    if (stream && partition == "nnz") {
+        std::fprintf(stderr, "--stream builds equal-rows partitions\n");
+        return 1;
+    }
+    if (topology != "leafspine" && topology != "hyperx" &&
+        topology != "dragonfly")
+        usage(argv[0]);
+    if ((num_jobs > 1 || bg.enabled()) && dump_stats) {
+        // Multi-tenant runs export the cluster.tenant<t>.* schema.
+        std::fprintf(stderr,
+                     "--stats dumps the single-job document; use "
+                     "--stats-json with --jobs/--background\n");
+        return 2;
+    }
+    FaultConfig faults;
+    if (!faults_spec.empty())
+        faults = FaultConfig::parse(faults_spec);
+    const Tick telemetry_interval = static_cast<Tick>(
+        telemetry_interval_us * static_cast<double>(ticks::us));
+    if (!telemetry_out.empty() && telemetry_interval == 0) {
+        std::fprintf(stderr,
+                     "--telemetry-out needs a positive "
+                     "--telemetry-interval\n");
+        return 1;
+    }
+    if (span_knob && spans_out.empty()) {
+        std::fprintf(stderr,
+                     "--span-sample/--span-tail-* need --spans-out\n");
+        return 1;
+    }
+    SpanParams spans;
+    if (!spans_out.empty()) {
+        spans.sampleEvery = static_cast<std::uint32_t>(span_sample);
+        spans.tailKeep = static_cast<std::uint32_t>(span_tail_keep);
+        spans.tailThreshold = static_cast<Tick>(
+            span_tail_threshold_us * static_cast<double>(ticks::us));
+        // A bare --spans-out means "give me a representative sample".
+        if (!span_knob)
+            spans.sampleEvery = 64;
+        if (!spans.enabled()) {
+            std::fprintf(stderr,
+                         "--spans-out: all span knobs are zero; nothing "
+                         "would be recorded\n");
+            return 1;
+        }
+    }
+
+    // Every output path is probe-opened before the matrix is generated
+    // or read, let alone simulated: a path into a missing directory
+    // fails here at once with a clear message instead of minutes into
+    // a paper-scale run, or with a silent empty result at exit.
+    if (!stats_json.empty() &&
+        !StatsExport::instance().setOutputPath(stats_json)) {
+        std::fprintf(stderr, "cannot open --stats-json output %s\n",
+                     stats_json.c_str());
+        return 1;
+    }
+    if (!trace_out.empty() && !TraceWriter::instance().open(trace_out)) {
+        std::fprintf(stderr, "cannot open --trace-out output %s\n",
+                     trace_out.c_str());
+        return 1;
+    }
+    if (!telemetry_out.empty() &&
+        !TelemetrySink::instance().setOutputPath(telemetry_out)) {
+        std::fprintf(stderr, "cannot open --telemetry-out output %s\n",
+                     telemetry_out.c_str());
+        return 1;
+    }
+    if (!spans_out.empty() &&
+        !SpanSink::instance().setOutputPath(spans_out)) {
+        std::fprintf(stderr, "cannot open --spans-out output %s\n",
+                     spans_out.c_str());
+        return 1;
+    }
+
+    // --- Workload ---
+    Csr m;
+    GatherWorkload work;
+    std::uint64_t mat_rows = 0, mat_cols = 0, mat_nnz = 0;
     if (stream) {
-        if (!named) {
-            std::fprintf(stderr,
-                         "--stream generates; it cannot read a .mtx "
-                         "file\n");
-            return 1;
-        }
-        if (partition == "nnz") {
-            std::fprintf(stderr,
-                         "--stream builds equal-rows partitions\n");
-            return 1;
-        }
         PartitionedMatrix pm =
             buildPartitionedBenchmark(named_kind, scale, nodes);
         mat_rows = pm.rows;
@@ -339,8 +408,6 @@ main(int argc, char **argv)
         cfg.topology = TopologyKind::HyperX;
     else if (topology == "dragonfly")
         cfg.topology = TopologyKind::Dragonfly;
-    else if (topology != "leafspine")
-        usage(argv[0]);
     cfg.host.batchSize = batch;
     if (adaptive) {
         cfg.host.policy = BatchPolicy::Adaptive;
@@ -358,36 +425,9 @@ main(int argc, char **argv)
     cfg.memoryStats = memory_stats;
     cfg.fairQueue = switch_queue == "fq";
     cfg.tenantCachePartitioned = cache_mode == "partitioned";
-    if (!faults_spec.empty())
-        cfg.faults = FaultConfig::parse(faults_spec);
-    cfg.telemetryInterval = static_cast<Tick>(
-        telemetry_interval_us * static_cast<double>(ticks::us));
-    if (!telemetry_out.empty() && cfg.telemetryInterval == 0) {
-        std::fprintf(stderr,
-                     "--telemetry-out needs a positive "
-                     "--telemetry-interval\n");
-        return 1;
-    }
-    if (span_knob && spans_out.empty()) {
-        std::fprintf(stderr,
-                     "--span-sample/--span-tail-* need --spans-out\n");
-        return 1;
-    }
-    if (!spans_out.empty()) {
-        cfg.spans.sampleEvery = static_cast<std::uint32_t>(span_sample);
-        cfg.spans.tailKeep = static_cast<std::uint32_t>(span_tail_keep);
-        cfg.spans.tailThreshold = static_cast<Tick>(
-            span_tail_threshold_us * static_cast<double>(ticks::us));
-        // A bare --spans-out means "give me a representative sample".
-        if (!span_knob)
-            cfg.spans.sampleEvery = 64;
-        if (!cfg.spans.enabled()) {
-            std::fprintf(stderr,
-                         "--spans-out: all span knobs are zero; nothing "
-                         "would be recorded\n");
-            return 1;
-        }
-    }
+    cfg.faults = faults;
+    cfg.telemetryInterval = telemetry_interval;
+    cfg.spans = spans;
 
     std::printf("netsparse_sim: %s (%llu x %llu, %llu nnz%s), %u nodes, "
                 "K=%u, %s\n",
@@ -395,44 +435,11 @@ main(int argc, char **argv)
                 (unsigned long long)mat_cols, (unsigned long long)mat_nnz,
                 stream ? ", streamed" : "", nodes, k, topology.c_str());
 
-    // Every output path is probe-opened before the simulation starts:
-    // a path into a missing directory fails here with a clear message
-    // instead of wasting the whole run on a silent empty result.
-    if (!stats_json.empty() &&
-        !StatsExport::instance().setOutputPath(stats_json)) {
-        std::fprintf(stderr, "cannot open --stats-json output %s\n",
-                     stats_json.c_str());
-        return 1;
-    }
-    if (!trace_out.empty() && !TraceWriter::instance().open(trace_out)) {
-        std::fprintf(stderr, "cannot open --trace-out output %s\n",
-                     trace_out.c_str());
-        return 1;
-    }
-    if (!telemetry_out.empty() &&
-        !TelemetrySink::instance().setOutputPath(telemetry_out)) {
-        std::fprintf(stderr, "cannot open --telemetry-out output %s\n",
-                     telemetry_out.c_str());
-        return 1;
-    }
-    if (!spans_out.empty() &&
-        !SpanSink::instance().setOutputPath(spans_out)) {
-        std::fprintf(stderr, "cannot open --spans-out output %s\n",
-                     spans_out.c_str());
-        return 1;
-    }
-
     // Multi-tenant runs (several jobs, or one job sharing the fabric
     // with background traffic) go through the scheduler; its stats
     // document is the cluster.tenant<t>.* schema, so the flat --stats
     // dump of legacy cluster keys does not apply.
     if (num_jobs > 1 || bg.enabled()) {
-        if (dump_stats) {
-            std::fprintf(stderr,
-                         "--stats dumps the single-job document; use "
-                         "--stats-json with --jobs/--background\n");
-            return 2;
-        }
         auto make_work = [&]() {
             GatherWorkload w;
             if (stream) {

@@ -36,14 +36,31 @@ PropertyCache::PropertyCache(const PropertyCacheConfig &cfg) : cfg_(cfg)
     lineBytes_ = cfg_.minLineBytes;
 }
 
+namespace {
+
+/** A zeroed array of @p n entries (see PropertyCache::Strip). */
+template <typename Strip>
+void
+callocStrip(Strip &strip, std::uint64_t n)
+{
+    using T = typename Strip::element_type;
+    strip.reset(static_cast<T *>(std::calloc(n, sizeof(T))));
+    ns_assert(strip, "property cache allocation failed");
+}
+
+} // namespace
+
 void
 PropertyCache::configureForKernel(std::uint32_t propertyBytes)
 {
     if (!enabled()) {
         lineBytes_ = cfg_.minLineBytes;
         numSets_ = 0;
-        ways_.reset();
-        wayCapacity_ = 0;
+        setCapacity_ = 0;
+        heads_.reset();
+        tags_.reset();
+        checksums_.reset();
+        lastUse_.reset();
         return;
     }
     if (propertyBytes > cfg_.maxLineBytes) {
@@ -60,39 +77,51 @@ PropertyCache::configureForKernel(std::uint32_t propertyBytes)
     numSets_ = std::max<std::uint64_t>(1, entries / cfg_.ways);
     // Grow-only: carried-over entries are dead anyway once the epoch
     // advances, so invalidation never rewrites the (multi-megabyte)
-    // way array. calloc hands back zero-on-demand pages, so even the
+    // strips. calloc hands back zero-on-demand pages, so even the
     // initial allocation costs nothing until sets are actually touched.
-    std::uint64_t needed = numSets_ * cfg_.ways;
-    if (wayCapacity_ < needed) {
-        ways_.reset(
-            static_cast<Way *>(std::calloc(needed, sizeof(Way))));
-        ns_assert(ways_, "property cache allocation failed");
-        wayCapacity_ = needed;
+    if (setCapacity_ < numSets_) {
+        std::uint64_t ways = numSets_ * cfg_.ways;
+        callocStrip(heads_, numSets_);
+        callocStrip(tags_, ways);
+        callocStrip(checksums_, ways);
+        callocStrip(lastUse_, ways);
+        setCapacity_ = numSets_;
     }
-    ++epoch_;
+    bumpEpoch();
     useClock_ = 0;
 }
 
 void
 PropertyCache::invalidateAll()
 {
-    ++epoch_;
+    bumpEpoch();
+}
+
+void
+PropertyCache::bumpEpoch()
+{
+    if (++epoch_ != 0)
+        return;
+    // Wrapped: no set may still carry an epoch that reads as live.
+    std::fill(heads_.get(), heads_.get() + setCapacity_, SetHead{});
+    epoch_ = 1;
 }
 
 bool
 PropertyCache::lookup(PropIdx idx, std::uint64_t &checksum)
 {
-    if (!enabled() || !ways_)
+    if (!enabled() || !heads_)
         return false;
     ++lookups_;
     std::uint64_t s = idx % numSets_;
     std::uint64_t tag = idx / numSets_;
-    Way *ws = set(s);
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (live(ws[w]) && ws[w].tag == tag) {
+    std::uint64_t base = s * cfg_.ways;
+    std::uint32_t used = liveWays(s);
+    for (std::uint32_t w = 0; w < used; ++w) {
+        if (tags_[base + w] == tag) {
             ++hits_;
-            ws[w].lastUse = ++useClock_;
-            checksum = ws[w].checksum;
+            lastUse_[base + w] = ++useClock_;
+            checksum = checksums_[base + w];
             return true;
         }
     }
@@ -102,35 +131,36 @@ PropertyCache::lookup(PropIdx idx, std::uint64_t &checksum)
 bool
 PropertyCache::insert(PropIdx idx, std::uint64_t checksum)
 {
-    if (!enabled() || !ways_)
+    if (!enabled() || !heads_)
         return false;
     std::uint64_t s = idx % numSets_;
     std::uint64_t tag = idx / numSets_;
-    Way *ws = set(s);
+    std::uint64_t base = s * cfg_.ways;
+    SetHead &head = heads_[s];
+    if (head.epoch != epoch_)
+        head = SetHead{epoch_, 0};
 
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (live(ws[w]) && ws[w].tag == tag) {
+    for (std::uint32_t w = 0; w < head.used; ++w) {
+        if (tags_[base + w] == tag) {
             ++duplicateInserts_;
             return false;
         }
     }
-    // Prefer an invalid way; otherwise evict the least recently used.
-    Way *victim = nullptr;
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (!live(ws[w])) {
-            victim = &ws[w];
-            break;
-        }
-        if (!victim || ws[w].lastUse < victim->lastUse)
-            victim = &ws[w];
-    }
-    ns_assert(victim, "no victim way found");
-    if (live(*victim))
+    // Take the first invalid way; a full set evicts its least recently
+    // used way (recency stamps are unique, so there are no ties).
+    std::uint64_t victim = base + head.used;
+    if (head.used < cfg_.ways) {
+        ++head.used;
+    } else {
+        victim = base;
+        for (std::uint64_t w = base + 1; w < base + cfg_.ways; ++w)
+            if (lastUse_[w] < lastUse_[victim])
+                victim = w;
         ++evictions_;
-    victim->epoch = epoch_;
-    victim->tag = tag;
-    victim->checksum = checksum;
-    victim->lastUse = ++useClock_;
+    }
+    tags_[victim] = tag;
+    checksums_[victim] = checksum;
+    lastUse_[victim] = ++useClock_;
     ++inserts_;
     return true;
 }

@@ -114,42 +114,59 @@ class PropertyCache
 
   private:
     /**
-     * One way. Validity is epoch-based: a way holds a live entry only
-     * when its epoch matches the cache's. Bumping the cache epoch
-     * invalidates every entry in O(1), which makes the per-kernel
-     * reconfiguration of a multi-megabyte cache free instead of a
-     * full-array rewrite on the simulator's critical path.
+     * Validity is per set and epoch-based: a set's ways are live only
+     * when its epoch matches the cache's, so bumping the cache epoch
+     * invalidates every entry in O(1) - the per-kernel reconfiguration
+     * of a multi-megabyte cache costs nothing on the simulator's
+     * critical path. Within an epoch nothing else invalidates a way and
+     * an insert takes the first invalid one, so the live ways are
+     * always the prefix [0, used).
      */
-    struct Way
+    struct SetHead
     {
-        std::uint64_t tag = 0;
-        std::uint64_t checksum = 0;
-        std::uint64_t lastUse = 0;
-        std::uint64_t epoch = 0; // 0 = never written
+        std::uint32_t epoch = 0; // 0 = never written
+        std::uint32_t used = 0;
     };
 
-    Way *set(std::uint64_t s) { return ways_.get() + s * cfg_.ways; }
+    /** Live ways of set @p s (the prefix [0, n)). */
+    std::uint32_t
+    liveWays(std::uint64_t s) const
+    {
+        return heads_[s].epoch == epoch_ ? heads_[s].used : 0;
+    }
 
-    bool live(const Way &w) const { return w.epoch == epoch_; }
+    /** Advance the epoch, invalidating every set. */
+    void bumpEpoch();
 
     struct FreeDeleter
     {
-        void operator()(Way *p) const { std::free(p); }
+        void operator()(void *p) const { std::free(p); }
     };
+    /**
+     * calloc-backed, not a vector: all-zero is exactly the "never
+     * written" state, so zero-on-demand pages from the allocator stand
+     * in for the multi-megabyte memset a vector resize would do.
+     */
+    template <typename T>
+    using Strip = std::unique_ptr<T[], FreeDeleter>;
 
     PropertyCacheConfig cfg_;
     std::uint32_t lineBytes_ = 0;
     std::uint64_t numSets_ = 0;
+    /** Sets the strips below are allocated for (grow-only). */
+    std::uint64_t setCapacity_ = 0;
+    Strip<SetHead> heads_;
     /**
-     * calloc-backed, not a vector: an all-zero Way is exactly the
-     * "never written" state (epoch 0 < any live epoch), so fresh
-     * zero-on-demand pages from the allocator stand in for the
-     * multi-megabyte memset a vector resize would do up front.
+     * Way state in separate strips indexed set * ways + way: a lookup
+     * scans only the set's live tags (one or two host cache lines);
+     * checksums and recency are touched on a hit, an insert or an
+     * eviction only.
      */
-    std::unique_ptr<Way[], FreeDeleter> ways_;
-    std::uint64_t wayCapacity_ = 0;
+    Strip<std::uint64_t> tags_;
+    Strip<std::uint64_t> checksums_;
+    Strip<std::uint64_t> lastUse_;
     std::uint64_t useClock_ = 0;
-    std::uint64_t epoch_ = 1;
+    std::uint32_t epoch_ = 1;
 
     std::uint64_t lookups_ = 0;
     std::uint64_t hits_ = 0;

@@ -29,6 +29,8 @@ Concatenator::emitSolo(PropertyRequest &&pr, NodeId dest)
     pkt.tenant = pr.tenant;
     pkt.concatenated = false;
     pkt.spanned = pr.spanId != 0;
+    pkt.wireBytes = cfg_.proto.soloWireBytes(pr);
+    pkt.payloadBytes = pr.payloadBytes;
     pkt.prs = acquirePrBuffer(1);
     pkt.prs.push_back(std::move(pr));
     ++packetsEmitted_;
@@ -80,8 +82,7 @@ Concatenator::push(PropertyRequest &&pr, NodeId dest)
     }
 
     std::uint32_t pr_bytes = cfg_.proto.prWireBytes(pr);
-    std::uint32_t capacity =
-        cfg_.proto.mtuBytes - cfg_.proto.concatBaseBytes();
+    const std::uint32_t capacity = prCapacityBytes();
     ns_assert(pr_bytes <= capacity, "one PR larger than the MTU: ",
               pr_bytes, " > ", capacity);
 
@@ -107,6 +108,8 @@ Concatenator::push(PropertyRequest &&pr, NodeId dest)
     }
 
     bool was_empty = cq.prs.empty();
+    if (cq.prs.size() == cq.prs.capacity())
+        growBuffer(cq, pr_bytes);
     cq.spanned |= pr.spanId != 0;
     cq.prs.push_back(std::move(pr));
     Tick now = eq_.now();
@@ -128,6 +131,27 @@ Concatenator::push(PropertyRequest &&pr, NodeId dest)
         ++flushesByFill_;
         flush(cq, "flush.fill");
     }
+}
+
+void
+Concatenator::growBuffer(Cq &cq, std::uint32_t pr_bytes)
+{
+    // The MTU bounds a packet at this many PRs of this size.
+    std::size_t bound = prCapacityBytes() / pr_bytes;
+    if (cq.prs.capacity() == 0) {
+        cq.prs = acquirePrBuffer(std::min(kFirstBufferPrs, bound));
+        return;
+    }
+    // A CQ that outgrows its first buffer is filling: move once to a
+    // buffer of the MTU bound, which it then never outgrows. Only a
+    // PR smaller than those already queued can beat that bound; the
+    // bound for bare headers covers any mix.
+    if (bound <= cq.prs.size())
+        bound = prCapacityBytes() / cfg_.proto.prHeaderBytes;
+    std::vector<PropertyRequest> grown = acquirePrBuffer(bound);
+    grown.insert(grown.end(), cq.prs.begin(), cq.prs.end());
+    recyclePrBuffer(std::move(cq.prs));
+    cq.prs = std::move(grown);
 }
 
 void
@@ -170,37 +194,36 @@ Concatenator::flush(Cq &cq, [[maybe_unused]] const char *reason)
     pkt.tenant = cq.prs.front().tenant;
     pkt.concatenated = true;
     pkt.spanned = cq.spanned;
-    // Steal cq.prs wholesale and hand the CQ a recycled buffer: packets
-    // die at a deconcatenation point on this same thread, so the pool
-    // feeds grown-to-size buffers back and steady-state refills never
-    // reallocate - without copying a packet's worth of PRs per flush.
-    pkt.prs = std::move(cq.prs);
-    cq.prs = acquirePrBuffer(pkt.prs.size());
+    // The CQ's buffer becomes the packet's, leaving the CQ with none
+    // until its next push: it returns to the arena at the
+    // deconcatenation point.
+    pkt.prs.swap(cq.prs);
+    const auto n = static_cast<std::uint32_t>(pkt.prs.size());
+    pkt.wireBytes = cfg_.proto.concatBaseBytes() + cq.bytes;
+    pkt.payloadBytes = cq.bytes - n * cfg_.proto.prHeaderBytes;
 
     // Waits are monotone within a CQ (pushes are time-ordered), so the
     // summary yields the per-PR statistics exactly: integer arithmetic,
     // bit-identical to sampling each wait individually.
     Tick now = eq_.now();
-    std::uint64_t n = pkt.prs.size();
     std::uint64_t wait_sum = n * now - cq.enterSum;
     prWaitTicks_.sampleBatch(n, static_cast<double>(wait_sum),
                              static_cast<double>(now - cq.enterLast),
                              static_cast<double>(now - cq.enterFirst));
-    prsPerPacket_.sample(static_cast<double>(pkt.prs.size()));
+    prsPerPacket_.sample(static_cast<double>(n));
     ++packetsEmitted_;
 
     NS_TRACE(tw.instant(
         tw.track(name_), reason, eq_.now(),
-        traceArgs({{"prs", static_cast<double>(pkt.prs.size())},
+        traceArgs({{"prs", static_cast<double>(n)},
                    {"bytes", static_cast<double>(cq.bytes)},
                    {"dest", static_cast<double>(cq.dest)}})));
 
-    pendingPrs_ -= pkt.prs.size();
+    pendingPrs_ -= n;
     occupiedBytes_ -= cq.bytes;
     if (cfg_.virtualized)
         blocksInUse_ -= physicalBlocks(cq.bytes);
 
-    cq.prs.clear();
     cq.enterSum = 0;
     cq.bytes = 0;
     cq.spanned = false;
@@ -243,9 +266,9 @@ deconcatenate(Packet &&pkt)
 }
 
 std::vector<PropertyRequest>
-acquirePrBuffer(std::size_t reserve)
+acquirePrBuffer(std::size_t capacity)
 {
-    return BufferArena<PropertyRequest>::local().acquire(reserve);
+    return BufferArena<PropertyRequest>::local().acquire(capacity);
 }
 
 void

@@ -142,7 +142,8 @@ BackgroundSource::inject(std::uint32_t ordinal)
     Packet pkt;
     pkt.src = self_;
     pkt.dest = destOf(ordinal);
-    pkt.rawBytes = cfg_.packetBytes;
+    pkt.raw = true;
+    pkt.wireBytes = cfg_.packetBytes;
     ++injected_;
     bytesInjected_ += cfg_.packetBytes;
     egress_.send(std::move(pkt));

@@ -2,8 +2,8 @@
  * @file
  * Synthetic background traffic for multi-tenant interference studies.
  *
- * A BackgroundSource per host injects raw packets (Packet::rawBytes -
- * no PRs, exactly rawBytes on the wire) into that host's NIC egress
+ * A BackgroundSource per host injects raw packets (Packet::raw -
+ * no PRs, exactly wireBytes on the wire) into that host's NIC egress
  * link, contending with the gather jobs for fabric bandwidth. Switches
  * forward raw packets without middle-pipe processing and the
  * destination's demux discards them on arrival, so the traffic is pure

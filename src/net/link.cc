@@ -1,5 +1,6 @@
 #include "net/link.hh"
 
+#include "concat/concatenator.hh"
 #include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "sim/span.hh"
@@ -18,7 +19,8 @@ Link::Link(EventQueue &eq, LinkConfig cfg, ProtocolParams proto,
 void
 Link::send(Packet &&pkt)
 {
-    std::uint64_t wire = pkt.wireBytes(proto_);
+    std::uint64_t wire = pkt.wireBytes;
+    ns_assert(wire > 0, "unstamped packet on ", name_);
     ns_assert(wire <= proto_.mtuBytes, "packet exceeds MTU on ", name_,
               ": ", wire, " > ", proto_.mtuBytes);
 
@@ -33,6 +35,7 @@ Link::send(Packet &&pkt)
         droppedBytes_ += wire;
         NS_TRACE(tw.instant(tw.track(name_), "fault.linkDown",
                             eq_.now()));
+        recyclePrBuffer(std::move(pkt.prs));
         return;
     }
 
@@ -70,6 +73,7 @@ Link::send(Packet &&pkt)
         ++dropped_;
         droppedBytes_ += wire;
         NS_TRACE(tw.instant(tw.track(name_), "drop", busyUntil_));
+        recyclePrBuffer(std::move(pkt.prs));
         return;
     }
     if (verdict.corrupted)
@@ -78,7 +82,7 @@ Link::send(Packet &&pkt)
 
     ++packets_;
     bytes_ += wire;
-    payloadBytes_ += pkt.payloadBytes();
+    payloadBytes_ += pkt.payloadBytes;
 
     Tick arrival = busyUntil_ + cfg_.latency;
     std::uint64_t key = EventQueue::deliveryKey(orderingId_,

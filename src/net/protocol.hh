@@ -146,12 +146,12 @@ struct Packet
     /** Tenant id of the PRs inside (see PropertyRequest::tenant). */
     std::uint16_t tenant = 0;
     /**
-     * Raw (non-PR) wire size. Nonzero marks a background-traffic
-     * packet: it carries no PRs, occupies exactly rawBytes on the
-     * wire, skips the NetSparse middle pipes, and is discarded at the
-     * destination node. 0 for every protocol packet.
+     * Background-traffic packet: it carries no PRs, occupies exactly
+     * wireBytes on the wire, skips the NetSparse middle pipes, and is
+     * discarded at the destination node. False for every protocol
+     * packet.
      */
-    std::uint32_t rawBytes = 0;
+    bool raw = false;
     /**
      * True when at least one PR inside carries a span id. Set at the
      * concatenation point that built the packet; links and switches
@@ -159,34 +159,31 @@ struct Packet
      * run with spans disabled pays one always-false branch per packet.
      */
     bool spanned = false;
+    /**
+     * Total bytes on the wire, headers included, and the payload
+     * (useful property data) bytes carried. Stamped once by whoever
+     * builds the packet - a concatenation point knows both from its
+     * running byte count - so links and SNICs never walk the PRs.
+     */
+    std::uint32_t wireBytes = 0;
+    std::uint32_t payloadBytes = 0;
     std::vector<PropertyRequest> prs;
 
-    /** Total bytes on the wire, headers included. */
-    std::uint64_t
-    wireBytes(const ProtocolParams &proto) const
+    /**
+     * Stamp wireBytes and payloadBytes by summing over prs: the sizes
+     * a packet built by hand carries. Concatenation points stamp the
+     * same sums from their running counts.
+     */
+    void
+    stampSizes(const ProtocolParams &proto)
     {
-        if (rawBytes)
-            return rawBytes;
-        if (!concatenated) {
-            std::uint64_t b = 0;
-            for (const auto &pr : prs)
-                b += proto.soloWireBytes(pr);
-            return b;
+        wireBytes = concatenated ? proto.concatBaseBytes() : 0;
+        payloadBytes = 0;
+        for (const auto &pr : prs) {
+            wireBytes += concatenated ? proto.prWireBytes(pr)
+                                      : proto.soloWireBytes(pr);
+            payloadBytes += pr.payloadBytes;
         }
-        std::uint64_t b = proto.concatBaseBytes();
-        for (const auto &pr : prs)
-            b += proto.prWireBytes(pr);
-        return b;
-    }
-
-    /** Payload (useful property data) bytes carried. */
-    std::uint64_t
-    payloadBytes() const
-    {
-        std::uint64_t b = 0;
-        for (const auto &pr : prs)
-            b += pr.payloadBytes;
-        return b;
     }
 };
 

@@ -99,7 +99,7 @@ Switch::receivePacket(Packet &&pkt, std::uint32_t in_port)
     eq_.scheduleIn(delay, [this, p = std::move(pkt), in_port]() mutable {
         // Raw background packets carry no PRs: the middle pipes have
         // nothing to do with them, they just cross to their egress.
-        if (cfg_.netsparseEnabled && !p.rawBytes)
+        if (cfg_.netsparseEnabled && !p.raw)
             processMiddlePipe(std::move(p), in_port);
         else
             forward(std::move(p));
@@ -294,8 +294,7 @@ Switch::drainPort(std::uint32_t p)
             fq.rr = (fq.rr + 1) % lanes;
             continue;
         }
-        auto wire = static_cast<std::int64_t>(
-            lane.front().wireBytes(cfg_.proto));
+        auto wire = static_cast<std::int64_t>(lane.front().wireBytes);
         if (fq.deficit[fq.rr] < wire) {
             fq.deficit[fq.rr] +=
                 static_cast<std::int64_t>(cfg_.proto.mtuBytes);

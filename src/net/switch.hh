@@ -194,7 +194,7 @@ class Switch : public PacketSink
     std::uint32_t
     laneOf(const Packet &pkt) const
     {
-        if (pkt.rawBytes)
+        if (pkt.raw)
             return cfg_.numTenants;
         return pkt.tenant < cfg_.numTenants ? pkt.tenant
                                             : cfg_.numTenants - 1;

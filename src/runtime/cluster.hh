@@ -96,11 +96,11 @@ struct ClusterConfig
     bool eventBatching = false;
 
     /**
-     * Export per-shard arena allocator accounting under
+     * Export the run's buffer-arena accounting under
      * "cluster.memory.*" (--memory-stats). Off by default: the numbers
      * are a host-side diagnostic of the simulator process (they vary
-     * with shard count and prior runs in the same process), so they are
-     * excluded from the byte-identical stats contract.
+     * with shard count), so they are excluded from the byte-identical
+     * stats contract.
      */
     bool memoryStats = false;
 

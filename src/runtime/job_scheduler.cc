@@ -34,9 +34,9 @@ class TenantDemux : public PacketSink
     void
     receivePacket(Packet &&pkt, std::uint32_t in_port) override
     {
-        if (pkt.rawBytes) {
+        if (pkt.raw) {
             ++rawPackets_;
-            rawBytes_ += pkt.rawBytes;
+            rawBytes_ += pkt.wireBytes;
             return;
         }
         ns_assert(pkt.tenant < slices_.size(),
@@ -120,6 +120,9 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
     // identical construction order, component names and stats
     // document, by design (see the header comment).
     const bool multi = T > 1 || bg.enabled();
+    // Buffer pools live for one run: whatever this thread parked before
+    // (a bench's own concatenator, an aborted run) is not this run's.
+    drainThreadArenas();
 
     std::vector<std::uint32_t> prop_bytes(T);
     std::uint32_t max_prop_bytes = 0;
@@ -624,6 +627,7 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
     Tick final_tick = 0;
     std::uint64_t executed_events = 0;
     std::uint64_t epochs = 0;
+    ArenaStats memory;
     if (num_shards == 1) {
         queues[0]->runUntil(cfg_.maxSimTime);
         final_tick = queues[0]->now();
@@ -657,7 +661,11 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         final_tick = res.finalTick;
         executed_events = res.executedEvents;
         epochs = res.epochs;
+        memory = res.memory;
     }
+    // The run has drained: every buffer is back in its pool. Total the
+    // pools and free them (the sequential engine's live here).
+    memory.add(drainThreadArenas());
     std::uint32_t done_count = 0;
     for (const auto &h : hosts)
         done_count += h->done() ? 1 : 0;
@@ -951,23 +959,19 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
             }
         }
         if (cfg_.memoryStats) {
-            // Per-shard arena accounting (sim/arena.hh). Shard workers
-            // were joined above, so their arenas have flushed into the
-            // registry; fold in the calling thread's live arenas (the
-            // sequential engine's buffers live here). Gated: these are
-            // process-lifetime host diagnostics, outside the
+            // This run's arena accounting (sim/arena.hh), summed over
+            // its shard workers. Gated: host diagnostics, outside the
             // byte-identical stats contract (see ClusterConfig).
-            ArenaStats mem = ArenaStatsRegistry::instance().totals();
-            mem.add(BufferArena<Packet>::local().stats());
-            mem.add(BufferArena<PropertyRequest>::local().stats());
             reg.set("cluster.memory.arenaReservedBytes",
-                    static_cast<double>(mem.reservedBytes));
+                    static_cast<double>(memory.reservedBytes));
             reg.set("cluster.memory.arenaHighWaterBytes",
-                    static_cast<double>(mem.highWaterBytes));
+                    static_cast<double>(memory.highWaterBytes));
             reg.set("cluster.memory.arenaPoolHits",
-                    static_cast<double>(mem.poolHits));
+                    static_cast<double>(memory.poolHits));
             reg.set("cluster.memory.arenaPoolMisses",
-                    static_cast<double>(mem.poolMisses));
+                    static_cast<double>(memory.poolMisses));
+            reg.set("cluster.memory.arenaPooledBuffers",
+                    static_cast<double>(memory.pooledBuffers));
         }
     }
     return mr;

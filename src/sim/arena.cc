@@ -1,28 +1,45 @@
 #include "sim/arena.hh"
 
+#include <algorithm>
+
 namespace netsparse {
 
-ArenaStatsRegistry &
-ArenaStatsRegistry::instance()
+namespace {
+
+/**
+ * The calling thread's live arenas. An arena's constructor is the first
+ * to touch this list, so the list outlives every arena of the thread
+ * (thread-locals are destroyed in reverse order of construction).
+ */
+std::vector<ArenaBase *> &
+threadArenas()
 {
-    // Leaked on purpose: thread_local arenas flush here from thread
-    // exit paths that may run during process teardown.
-    static ArenaStatsRegistry *reg = new ArenaStatsRegistry;
-    return *reg;
+    thread_local std::vector<ArenaBase *> arenas;
+    return arenas;
 }
 
-void
-ArenaStatsRegistry::flush(const ArenaStats &stats)
+} // namespace
+
+ArenaBase::ArenaBase()
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    totals_.add(stats);
+    threadArenas().push_back(this);
+}
+
+ArenaBase::~ArenaBase()
+{
+    auto &arenas = threadArenas();
+    arenas.erase(std::find(arenas.begin(), arenas.end(), this));
 }
 
 ArenaStats
-ArenaStatsRegistry::totals() const
+drainThreadArenas()
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return totals_;
+    ArenaStats total;
+    for (ArenaBase *a : threadArenas()) {
+        total.add(a->stats());
+        a->release();
+    }
+    return total;
 }
 
 } // namespace netsparse

@@ -8,23 +8,27 @@
  * deconcatenation point; a link delivery train's packet list is born
  * when a burst opens the train and dies when it flushes. BufferArena
  * recycles those vectors so steady-state traffic never touches the
- * allocator: acquire() hands back a previously grown buffer, recycle()
- * returns it cleared but with its capacity intact.
+ * allocator: acquire() hands back a previously allocated buffer,
+ * recycle() returns it cleared but with its capacity intact.
  *
- * One arena instance exists per thread (BufferArena<T>::local()), which
- * under the parallel engine means one per shard worker - no locks on
- * the hot path, and deterministic behavior because a buffer's capacity
- * never influences simulated time.
+ * Pools are split by capacity class. Callers ask for a few fixed
+ * capacities (a concatenation queue's first buffer, the MTU bound of a
+ * PR size, a link train's length) and never grow a buffer past the
+ * capacity it was acquired with, so recycle() files every buffer back
+ * under the class it came from, and a pool miss happens only when more
+ * buffers of a class are live at once than ever before in the run. No
+ * buffer is freed while a run is in flight; the pools' lifetime is one
+ * run: drainThreadArenas() totals and frees them when the run drains.
  *
- * Accounting: each arena tracks the bytes of capacity it is holding
- * (reserved) and the most it ever held (high water). When a shard
- * worker exits, its arena's destructor flushes those numbers into the
- * process-wide ArenaStatsRegistry; runGather reads the registry (plus
- * the calling thread's live arenas) to export the gated
- * `cluster.memory.*` stats keys. The registry keeps process-lifetime
- * totals - the stats are a host-side diagnostic of the simulator
- * itself, not part of the deterministic model, which is why the export
- * is off by default (ClusterConfig::memoryStats).
+ * One arena instance exists per thread and element type
+ * (BufferArena<T>::local()), which under the parallel engine means one
+ * per shard worker - no locks on the hot path, and deterministic
+ * behavior because a buffer's capacity never influences simulated time.
+ *
+ * Accounting (reserved bytes, high water, hits, misses, pooled buffers)
+ * is host-side diagnostics of the simulator itself, not part of the
+ * deterministic model; runGather exports it as `cluster.memory.*` only
+ * under ClusterConfig::memoryStats.
  */
 
 #ifndef NETSPARSE_SIM_ARENA_HH
@@ -32,12 +36,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace netsparse {
 
-/** Aggregated arena accounting (see ArenaStatsRegistry). */
+/** Arena accounting of one run (see drainThreadArenas). */
 struct ArenaStats
 {
     /** Capacity bytes currently parked in arenas. */
@@ -46,8 +49,10 @@ struct ArenaStats
     std::uint64_t highWaterBytes = 0;
     /** acquire() calls served from a recycled buffer. */
     std::uint64_t poolHits = 0;
-    /** acquire() calls that had to construct a fresh vector. */
+    /** acquire() calls that had to allocate a fresh buffer. */
     std::uint64_t poolMisses = 0;
+    /** Buffers currently parked in arenas. */
+    std::uint64_t pooledBuffers = 0;
 
     void
     add(const ArenaStats &o)
@@ -56,79 +61,101 @@ struct ArenaStats
         highWaterBytes += o.highWaterBytes;
         poolHits += o.poolHits;
         poolMisses += o.poolMisses;
+        pooledBuffers += o.pooledBuffers;
     }
 };
 
 /**
- * Process-wide collection point for arenas whose threads have exited
- * (shard workers are joined before runGather exports statistics, so
- * their arenas flush here first). Mutex-protected; touched only at
- * thread exit and stats-export time, never on the simulation hot path.
+ * The element-type-independent face of an arena. Every arena registers
+ * with its thread's list on construction, so a run can total and free
+ * the arenas of a thread without naming their element types.
  */
-class ArenaStatsRegistry
+class ArenaBase
 {
   public:
-    static ArenaStatsRegistry &instance();
+    ArenaBase(const ArenaBase &) = delete;
+    ArenaBase &operator=(const ArenaBase &) = delete;
 
-    /** Fold a dying arena's accounting into the process totals. */
-    void flush(const ArenaStats &stats);
+    /** This arena's accounting (owning thread only). */
+    virtual ArenaStats stats() const = 0;
+    /** Free every pooled buffer and zero the accounting. */
+    virtual void release() = 0;
 
-    /** Totals over every arena flushed so far (process lifetime). */
-    ArenaStats totals() const;
-
-  private:
-    mutable std::mutex mu_;
-    ArenaStats totals_;
+  protected:
+    ArenaBase();
+    ~ArenaBase();
 };
+
+/**
+ * The accounting of every arena of the calling thread, after which their
+ * pools are freed and their counters zeroed: the end of a run on this
+ * thread.
+ */
+ArenaStats drainThreadArenas();
 
 /** A thread-local pool of recycled std::vector<T> buffers. */
 template <typename T>
-class BufferArena
+class BufferArena final : public ArenaBase
 {
   public:
-    /** Retired buffers kept per arena; excess recycles are freed. */
-    static constexpr std::size_t maxPooled = 64;
-
-    ~BufferArena() { ArenaStatsRegistry::instance().flush(stats()); }
-
-    /** A cleared buffer with capacity for at least @p reserve items. */
+    /**
+     * A cleared buffer of exactly @p capacity items from that capacity
+     * class's pool, or a fresh one when the pool is empty.
+     */
     std::vector<T>
-    acquire(std::size_t reserve)
+    acquire(std::size_t capacity)
     {
+        std::vector<std::vector<T>> &pool = classPool(capacity);
         std::vector<T> buf;
-        if (!pool_.empty()) {
-            buf = std::move(pool_.back());
-            pool_.pop_back();
-            reserved_ -= buf.capacity() * sizeof(T);
+        if (!pool.empty()) {
+            buf = std::move(pool.back());
+            pool.pop_back();
+            reserved_ -= capacity * sizeof(T);
+            --pooled_;
             ++stats_.poolHits;
         } else {
+            buf.reserve(capacity);
             ++stats_.poolMisses;
         }
-        buf.reserve(reserve);
         return buf;
     }
 
-    /** Return a buffer; its capacity feeds the next acquire(). */
+    /**
+     * Return a buffer to its capacity class. A buffer whose capacity no
+     * acquire() asked for (one that grew, or never allocated) is freed.
+     */
     void
     recycle(std::vector<T> &&buf)
     {
-        if (pool_.size() >= maxPooled)
-            return; // freed: the arena is at its retention cap
-        buf.clear();
-        reserved_ += buf.capacity() * sizeof(T);
-        if (reserved_ > highWater_)
-            highWater_ = reserved_;
-        pool_.push_back(std::move(buf));
+        for (Class &c : classes_) {
+            if (c.capacity != buf.capacity())
+                continue;
+            buf.clear();
+            reserved_ += c.capacity * sizeof(T);
+            if (reserved_ > highWater_)
+                highWater_ = reserved_;
+            ++pooled_;
+            c.pool.push_back(std::move(buf));
+            return;
+        }
     }
 
-    /** This arena's accounting (live snapshot, owning thread only). */
     ArenaStats
-    stats() const
+    stats() const override
     {
         ArenaStats s = stats_;
         s.reservedBytes = reserved_;
         s.highWaterBytes = highWater_;
+        s.pooledBuffers = pooled_;
         return s;
+    }
+
+    void
+    release() override
+    {
+        classes_.clear();
+        reserved_ = highWater_ = pooled_ = 0;
+        stats_ = ArenaStats{};
     }
 
     /** The calling thread's (= shard's) arena. */
@@ -140,9 +167,30 @@ class BufferArena
     }
 
   private:
-    std::vector<std::vector<T>> pool_;
+    BufferArena() = default;
+
+    struct Class
+    {
+        std::size_t capacity;
+        std::vector<std::vector<T>> pool;
+    };
+
+    /** The pool of @p capacity's class, opened on first use. */
+    std::vector<std::vector<T>> &
+    classPool(std::size_t capacity)
+    {
+        for (Class &c : classes_)
+            if (c.capacity == capacity)
+                return c.pool;
+        classes_.push_back(Class{capacity, {}});
+        return classes_.back().pool;
+    }
+
+    /** A handful of classes: a linear scan beats any map. */
+    std::vector<Class> classes_;
     std::uint64_t reserved_ = 0;
     std::uint64_t highWater_ = 0;
+    std::uint64_t pooled_ = 0;
     ArenaStats stats_;
 };
 

@@ -59,6 +59,7 @@ ShardEngine::run(std::vector<Shard> shards, Tick lookahead, Tick limit)
     std::atomic<bool> failed{false};
     std::vector<std::exception_ptr> errors(numShards);
     std::atomic<std::uint64_t> epochs{0};
+    std::vector<ArenaStats> memory(numShards);
     std::barrier<> barrier(static_cast<std::ptrdiff_t>(numShards));
 
     // Capture the ambient trace configuration on the calling thread;
@@ -122,6 +123,9 @@ ShardEngine::run(std::vector<Shard> shards, Tick lookahead, Tick limit)
             traceBind.reset();
             shardTrace.close();
         }
+        // The run is over: its buffers are home, and the pools die with
+        // the worker thread.
+        memory[self] = drainThreadArenas();
     };
 
     std::vector<std::thread> pool;
@@ -136,6 +140,8 @@ ShardEngine::run(std::vector<Shard> shards, Tick lookahead, Tick limit)
             std::rethrow_exception(errors[i]);
 
     result.epochs = epochs.load(std::memory_order_relaxed);
+    for (const ArenaStats &m : memory)
+        result.memory.add(m);
     for (const Shard &s : shards) {
         result.finalTick = std::max(result.finalTick, s.eq->now());
         result.executedEvents += s.eq->executedEvents();

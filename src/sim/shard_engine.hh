@@ -44,6 +44,7 @@
 #include <functional>
 #include <vector>
 
+#include "sim/arena.hh"
 #include "sim/types.hh"
 
 namespace netsparse {
@@ -73,6 +74,12 @@ class ShardEngine
         std::uint64_t epochs = 0;
         /** Events executed across all shards. */
         std::uint64_t executedEvents = 0;
+        /**
+         * Buffer-arena accounting of the worker threads, drained as each
+         * worker leaves (sim/arena.hh). Empty for a one-shard run, which
+         * executes on the calling thread.
+         */
+        ArenaStats memory;
     };
 
     /**

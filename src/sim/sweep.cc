@@ -1,7 +1,6 @@
 #include "sim/sweep.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -16,18 +15,6 @@
 #include "sim/trace.hh"
 
 namespace netsparse {
-
-unsigned
-SweepExecutor::jobsFromEnv()
-{
-    const char *env = std::getenv("NETSPARSE_BENCH_JOBS");
-    if (!env || !*env)
-        return 1;
-    long v = std::strtol(env, nullptr, 10);
-    if (v < 1)
-        return 1;
-    return static_cast<unsigned>(v);
-}
 
 void
 SweepExecutor::run(std::size_t n,

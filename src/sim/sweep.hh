@@ -18,7 +18,7 @@
  *  - the first exception (by point index) is rethrown on the calling
  *    thread after all workers join.
  *
- * jobs <= 1 (the default; see jobsFromEnv / NETSPARSE_BENCH_JOBS) runs
+ * jobs <= 1 (the default; benches read NETSPARSE_BENCH_JOBS) runs
  * points inline on the calling thread with the ambient sinks untouched.
  */
 
@@ -35,9 +35,6 @@ class SweepExecutor
   public:
     /** A pool of @p jobs workers (values < 1 behave like 1). */
     explicit SweepExecutor(unsigned jobs) : jobs_(jobs < 1 ? 1 : jobs) {}
-
-    /** Worker count from NETSPARSE_BENCH_JOBS (default 1: sequential). */
-    static unsigned jobsFromEnv();
 
     unsigned jobs() const { return jobs_; }
 

@@ -110,13 +110,12 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
 {
     (void)in_port;
     ++rxPackets_;
-    rxBytes_ += pkt.wireBytes(cfg_.proto);
-    rxPayloadBytes_ += pkt.payloadBytes();
+    rxBytes_ += pkt.wireBytes;
+    rxPayloadBytes_ += pkt.payloadBytes;
 
     NS_TRACE(tw.instant(
         tw.track(name_), "rx", eq_.now(),
-        traceArgs({{"bytes", static_cast<double>(
-                                 pkt.wireBytes(cfg_.proto))},
+        traceArgs({{"bytes", static_cast<double>(pkt.wireBytes)},
                    {"prs", static_cast<double>(pkt.prs.size())}})));
 
     std::vector<PropertyRequest> prs = deconcatenate(std::move(pkt));
@@ -125,8 +124,10 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
         // and round-robin dispatch as the per-event path), then send
         // all responses with one event at the last fetch completion.
         // Fetch ticks are nondecreasing across the packet (the shared
-        // PCIe busy-until chain), so no response leaves early.
-        std::vector<PropertyRequest> responses = acquirePrBuffer(prs.size());
+        // PCIe busy-until chain), so no response leaves early. Reads
+        // become responses in place, compacted to the buffer's front:
+        // the packet's own buffer carries them.
+        std::size_t responses = 0;
         Tick last_fetch = 0;
         for (auto &pr : prs) {
             if (pr.type == PrType::Response) {
@@ -142,21 +143,21 @@ Snic::receivePacket(Packet &&pkt, std::uint32_t in_port)
                 nextServer_ = (nextServer_ + 1) %
                               static_cast<std::uint32_t>(servers_.size());
                 last_fetch = std::max(last_fetch, fetched);
-                responses.push_back(std::move(pr));
+                prs[responses++] = std::move(pr);
             }
         }
-        recyclePrBuffer(std::move(prs));
-        if (responses.empty()) {
-            recyclePrBuffer(std::move(responses));
+        if (responses == 0) {
+            recyclePrBuffer(std::move(prs));
             return;
         }
+        prs.resize(responses);
         // This one event stands for one response send per read;
         // account the rest so executedEvents() stays comparable to
         // the per-event path (and shard-invariant: the whole burst is
         // node-local).
-        eq_.addExecutedEvents(responses.size() - 1);
+        eq_.addExecutedEvents(responses - 1);
         eq_.schedule(last_fetch,
-                     [this, rs = std::move(responses)]() mutable {
+                     [this, rs = std::move(prs)]() mutable {
                          for (auto &resp : rs) {
                              NodeId back = resp.src;
                              sendPr(std::move(resp), back);

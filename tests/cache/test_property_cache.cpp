@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cache/property_cache.hh"
 #include "net/protocol.hh"
 #include "sim/rng.hh"
@@ -193,4 +197,162 @@ TEST(PropertyCache, RandomizedChecksumIntegrity)
     }
     EXPECT_GT(c.hits(), 0u);
     EXPECT_GT(c.evictions(), 0u);
+}
+
+namespace {
+
+/**
+ * The Property Cache as a per-way array (tag, checksum, recency and
+ * epoch side by side, every way scanned on every access): the layout
+ * the set-strip cache replaced, kept as the reference its hit, evict
+ * and duplicate decisions must reproduce.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const PropertyCacheConfig &cfg) : cfg_(cfg) {}
+
+    void
+    configureForKernel(std::uint32_t propertyBytes)
+    {
+        std::uint32_t line = cfg_.minLineBytes;
+        while (line < propertyBytes)
+            line *= 2;
+        numSets_ = std::max<std::uint64_t>(
+            1, cfg_.totalBytes / line / cfg_.ways);
+        if (ways_.size() < numSets_ * cfg_.ways)
+            ways_.assign(numSets_ * cfg_.ways, Way{});
+        ++epoch_;
+        useClock_ = 0;
+    }
+
+    void invalidateAll() { ++epoch_; }
+
+    bool
+    lookup(PropIdx idx, std::uint64_t &checksum)
+    {
+        ++lookups;
+        Way *ws = &ways_[(idx % numSets_) * cfg_.ways];
+        for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+            if (ws[w].epoch == epoch_ && ws[w].tag == idx / numSets_) {
+                ++hits;
+                ws[w].lastUse = ++useClock_;
+                checksum = ws[w].checksum;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    bool
+    insert(PropIdx idx, std::uint64_t checksum)
+    {
+        std::uint64_t tag = idx / numSets_;
+        Way *ws = &ways_[(idx % numSets_) * cfg_.ways];
+        for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+            if (ws[w].epoch == epoch_ && ws[w].tag == tag) {
+                ++duplicateInserts;
+                return false;
+            }
+        }
+        Way *victim = nullptr;
+        for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+            if (ws[w].epoch != epoch_) {
+                victim = &ws[w];
+                break;
+            }
+            if (!victim || ws[w].lastUse < victim->lastUse)
+                victim = &ws[w];
+        }
+        if (victim->epoch == epoch_)
+            ++evictions;
+        *victim = Way{tag, checksum, ++useClock_, epoch_};
+        ++inserts;
+        return true;
+    }
+
+    std::uint64_t lookups = 0, hits = 0, inserts = 0, evictions = 0,
+                  duplicateInserts = 0;
+
+  private:
+    struct Way
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t checksum = 0;
+        std::uint64_t lastUse = 0;
+        std::uint64_t epoch = 0;
+    };
+
+    PropertyCacheConfig cfg_;
+    std::vector<Way> ways_;
+    std::uint64_t numSets_ = 0;
+    std::uint64_t useClock_ = 0;
+    std::uint64_t epoch_ = 1;
+};
+
+/**
+ * Drive the cache and the reference with one seeded stream of lookups,
+ * inserts, reconfigurations (changing the set count mid-stream) and
+ * epoch bumps; every decision and counter must agree.
+ */
+void
+expectMatchesReference(std::uint64_t bytes, std::uint32_t ways,
+                       std::uint64_t seed)
+{
+    SCOPED_TRACE("bytes=" + std::to_string(bytes) +
+                 " ways=" + std::to_string(ways) +
+                 " seed=" + std::to_string(seed));
+    PropertyCacheConfig cfg = tinyConfig(bytes, ways);
+    PropertyCache cache(cfg);
+    ReferenceCache ref(cfg);
+    const std::uint32_t props[] = {16, 64, 48, 200, 16};
+    Rng rng(seed);
+    std::uint64_t span = 64;
+    for (int op = 0; op < 40000; ++op) {
+        double u = rng.uniform();
+        if (op == 0 || u < 0.0005) {
+            std::uint32_t prop = props[rng.uniformInt(0, 4)];
+            cache.configureForKernel(prop);
+            ref.configureForKernel(prop);
+            // Idx ranges from a few sets' worth to well past capacity.
+            span = 1 + rng.uniformInt(0, 4 * cache.capacityEntries());
+        } else if (u < 0.001) {
+            cache.invalidateAll();
+            ref.invalidateAll();
+        } else if (u < 0.55) {
+            PropIdx idx = rng.uniformInt(0, span);
+            std::uint64_t got = 0, want = 0;
+            bool hit = cache.lookup(idx, got);
+            ASSERT_EQ(hit, ref.lookup(idx, want)) << "op " << op;
+            if (hit) {
+                ASSERT_EQ(got, want) << "op " << op;
+            }
+        } else {
+            PropIdx idx = rng.uniformInt(0, span);
+            std::uint64_t csum = rng.uniformInt(0, ~std::uint64_t{0});
+            ASSERT_EQ(cache.insert(idx, csum), ref.insert(idx, csum))
+                << "op " << op;
+        }
+        ASSERT_EQ(cache.evictions(), ref.evictions) << "op " << op;
+    }
+    EXPECT_EQ(cache.lookups(), ref.lookups);
+    EXPECT_EQ(cache.hits(), ref.hits);
+    EXPECT_EQ(cache.inserts(), ref.inserts);
+    EXPECT_EQ(cache.duplicateInserts(), ref.duplicateInserts);
+    // The stream must exercise every decision, or agreement is cheap.
+    EXPECT_GT(ref.hits, 0u);
+    EXPECT_GT(ref.evictions, 0u);
+    EXPECT_GT(ref.duplicateInserts, 0u);
+}
+
+} // namespace
+
+TEST(PropertyCache, MatchesPerWayReferenceModel)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        expectMatchesReference(4096, 4, seed);  // several sets
+        expectMatchesReference(4096, 1, seed);  // direct-mapped
+        expectMatchesReference(1024, 16, seed); // full sets, few of them
+        expectMatchesReference(256, 16, seed);  // one set in most modes
+    }
 }

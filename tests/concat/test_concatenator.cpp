@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "concat/concatenator.hh"
+#include "sim/arena.hh"
 #include "sim/rng.hh"
 
 using namespace netsparse;
@@ -67,7 +69,7 @@ TEST(Concatenator, FillsToMtuThenFlushes)
     EXPECT_EQ(h.out[0].prs.size(), 79u);
     EXPECT_TRUE(h.out[0].concatenated);
     EXPECT_EQ(h.out[0].dest, 5u);
-    EXPECT_LE(h.out[0].wireBytes(cfg.proto), cfg.proto.mtuBytes);
+    EXPECT_LE(h.out[0].wireBytes, cfg.proto.mtuBytes);
     EXPECT_EQ(cc.flushesByFill(), 1u);
     EXPECT_EQ(cc.pendingPrs(), 0u);
 }
@@ -135,8 +137,8 @@ TEST(Concatenator, DisabledModeEmitsSoloPackets)
     ASSERT_EQ(h.out.size(), 2u);
     EXPECT_FALSE(h.out[0].concatenated);
     // Solo read packet: 50 + 10 + 18 = 78 bytes.
-    EXPECT_EQ(h.out[0].wireBytes(cfg.proto), 78u);
-    EXPECT_EQ(h.out[1].wireBytes(cfg.proto), 142u);
+    EXPECT_EQ(h.out[0].wireBytes, 78u);
+    EXPECT_EQ(h.out[1].wireBytes, 142u);
     EXPECT_TRUE(h.eq.empty()); // no timers armed
 }
 
@@ -167,7 +169,7 @@ TEST(Concatenator, LargeResponsesPackByPayload)
     EXPECT_EQ(h.out[1].prs.size(), 2u);
     EXPECT_EQ(h.out[2].prs.size(), 1u);
     for (const auto &p : h.out)
-        EXPECT_LE(p.wireBytes(cfg.proto), cfg.proto.mtuBytes);
+        EXPECT_LE(p.wireBytes, cfg.proto.mtuBytes);
 }
 
 TEST(Concatenator, OversizedPrPanics)
@@ -305,7 +307,7 @@ TEST(Concatenator, RandomStreamNeverExceedsMtu)
     h.eq.run();
     std::size_t total = 0;
     for (const auto &p : h.out) {
-        EXPECT_LE(p.wireBytes(cfg.proto), cfg.proto.mtuBytes);
+        EXPECT_LE(p.wireBytes, cfg.proto.mtuBytes);
         for (const auto &pr : p.prs) {
             EXPECT_EQ(pr.type, p.type);
         }
@@ -313,4 +315,125 @@ TEST(Concatenator, RandomStreamNeverExceedsMtu)
     }
     EXPECT_EQ(total, static_cast<std::size_t>(n));
     EXPECT_EQ(cc.prsPushed(), static_cast<std::uint64_t>(n));
+}
+
+namespace {
+
+/** Flushes of one runRandomStream, by cause. */
+struct StreamCounts
+{
+    std::uint64_t fills = 0, expiries = 0, drains = 0, packets = 0;
+};
+
+/**
+ * A random stream over 16 destinations and two tenants: reads, and
+ * responses of mixed payload sizes (so one response CQ can mix sizes),
+ * with simulated time advancing now and then so CQs flush by expiry as
+ * well as by fill. Ends with a drain (flushAll). Every emitted packet is
+ * handed to @p sink.
+ */
+StreamCounts
+runRandomStream(const ConcatConfig &cfg, std::uint64_t seed,
+                const std::function<void(Packet &&)> &sink)
+{
+    EventQueue eq;
+    Concatenator cc(eq, cfg, sink);
+    Rng rng(seed);
+    for (int i = 0; i < 6000; ++i) {
+        NodeId dest = static_cast<NodeId>(rng.uniformInt(0, 15));
+        PropertyRequest pr =
+            rng.uniform() < 0.5
+                ? readPr(i)
+                : responsePr(i, 4u << rng.uniformInt(0, 7)); // 4..512
+        pr.tenant = static_cast<std::uint16_t>(rng.uniformInt(0, 1));
+        cc.push(std::move(pr), dest);
+        if (rng.uniform() < 0.01)
+            eq.runUntil(eq.now() + 1 * ticks::us);
+    }
+    StreamCounts n;
+    std::uint64_t before = cc.packetsEmitted();
+    cc.flushAll();
+    n.drains = cc.packetsEmitted() - before;
+    eq.run();
+    n.fills = cc.flushesByFill();
+    n.expiries = cc.flushesByExpiry();
+    n.packets = cc.packetsEmitted();
+    return n;
+}
+
+} // namespace
+
+TEST(Concatenator, StampedSizesEqualTheSumsOverPrs)
+{
+    // Links and SNICs trust the sizes a packet's builder stamped; they
+    // must be exactly what summing over the PRs gives, on every flush
+    // path: fill, expiry, virtualized eviction, drain, solo packets and
+    // per-tenant lanes.
+    ConcatConfig plain;
+    plain.delay = 300 * ticks::ns;
+    ConcatConfig virt = plain;
+    virt.virtualized = true;
+    virt.numPhysicalCqs = 48;
+    ConcatConfig solo = plain;
+    solo.enabled = false;
+    ConcatConfig lanes = plain;
+    lanes.tenantLanes = 2;
+    struct Case
+    {
+        const char *name;
+        ConcatConfig cfg;
+    };
+    for (const Case &c : {Case{"plain", plain}, Case{"virtualized", virt},
+                          Case{"solo", solo}, Case{"tenant lanes", lanes}}) {
+        SCOPED_TRACE(c.name);
+        std::uint64_t checked = 0, wrong = 0;
+        StreamCounts n = runRandomStream(c.cfg, 7, [&](Packet &&p) {
+            Packet summed;
+            summed.concatenated = p.concatenated;
+            summed.prs = p.prs;
+            summed.stampSizes(c.cfg.proto);
+            bool ok = p.wireBytes == summed.wireBytes &&
+                      p.payloadBytes == summed.payloadBytes &&
+                      p.wireBytes <= c.cfg.proto.mtuBytes;
+            for (const auto &pr : p.prs)
+                ok &= c.cfg.tenantLanes == 1 || pr.tenant == p.tenant;
+            wrong += ok ? 0 : 1;
+            ++checked;
+        });
+        EXPECT_EQ(wrong, 0u);
+        EXPECT_EQ(checked, n.packets);
+        if (!c.cfg.enabled)
+            continue;
+        EXPECT_GT(n.fills, 0u);
+        EXPECT_GT(n.expiries, 0u);
+        EXPECT_GT(n.drains, 0u);
+        if (c.cfg.virtualized) { // the remaining flushes were evictions
+            EXPECT_GT(n.packets, n.fills + n.expiries + n.drains);
+        }
+    }
+}
+
+TEST(Concatenator, BuffersComeHomeWithoutRegrowth)
+{
+    // Packets recycle their PR buffers at the consumer. Once the stream
+    // drains, every buffer the arena ever allocated must be back in its
+    // pool: an idle CQ holds none, and none grew past the capacity
+    // class it was acquired with (a grown buffer is freed on recycle).
+    ConcatConfig plain;
+    plain.delay = 300 * ticks::ns;
+    ConcatConfig virt = plain;
+    virt.virtualized = true;
+    virt.numPhysicalCqs = 48;
+    ConcatConfig solo = plain;
+    solo.enabled = false;
+    for (const ConcatConfig &cfg : {plain, virt, solo}) {
+        drainThreadArenas(); // start from empty pools
+        runRandomStream(cfg, 11, [](Packet &&p) {
+            recyclePrBuffer(std::move(p.prs));
+        });
+        ArenaStats s = drainThreadArenas();
+        EXPECT_GT(s.poolMisses, 0u);
+        EXPECT_GT(s.poolHits, 10 * s.poolMisses);
+        EXPECT_EQ(s.pooledBuffers, s.poolMisses);
+    }
 }

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "analysis/comm_pattern.hh"
+#include "analysis/json_lite.hh"
 #include "runtime/cluster.hh"
 #include "sim/stats_export.hh"
 #include "sparse/generators.hh"
@@ -327,4 +328,41 @@ TEST(Fidelity, MemoryStatsAreGated)
               std::string::npos);
     EXPECT_NE(on.find("cluster.memory.arenaPoolHits"),
               std::string::npos);
+}
+
+// The PR data path's buffer lifecycle (sim/arena.hh): within a run no
+// buffer is freed and allocated again. Every pool miss leaves a buffer
+// that is back in its arena when the run drains - none regrew past its
+// capacity class, none was held by an idle concatenation queue, none
+// died with a dropped packet - at one shard and across shard threads.
+TEST(ArenaLifecycle, EveryPoolMissIsPooledWhenTheRunDrains)
+{
+    Csr m = makeBenchmarkMatrix(MatrixKind::Arabic, 0.02);
+    Partition1D part = Partition1D::equalRows(m.rows, 16);
+    auto check = [&](ClusterConfig cfg, const char *what) {
+        SCOPED_TRACE(what);
+        cfg.memoryStats = true;
+        StatsExport collector;
+        collector.setCollect(true);
+        StatsExport::Bind bind(collector);
+        ClusterSim(cfg).runGather(m, part, 16);
+        jsonlite::Value doc = jsonlite::parse(collector.toJson());
+        const jsonlite::Value &stats = doc.at("runs").at(0).at("stats");
+        auto value = [&](const char *key) {
+            return stats.at(std::string("cluster.memory.") + key)
+                .at("value")
+                .number;
+        };
+        EXPECT_GT(value("arenaPoolMisses"), 0.0);
+        EXPECT_GT(value("arenaPoolHits"), value("arenaPoolMisses"));
+        EXPECT_EQ(value("arenaPooledBuffers"), value("arenaPoolMisses"));
+    };
+    ClusterConfig cfg = smallCluster(16);
+    check(cfg, "per-event, 1 shard");
+    cfg.eventBatching = true;
+    check(cfg, "batched, 1 shard");
+    cfg.simShards = 4;
+    check(cfg, "batched, 4 shards");
+    cfg.faults = FaultConfig::parse("drop:0.02,seed:5");
+    check(cfg, "lossy, 4 shards");
 }

@@ -32,6 +32,7 @@ responsePacket(std::size_t num_prs = 1)
         pr.checksum = propertyChecksum(pr.idx);
         p.prs.push_back(pr);
     }
+    p.stampSizes(ProtocolParams{});
     return p;
 }
 
@@ -47,6 +48,7 @@ readPacket()
     pr.idx = 7;
     pr.propBytes = 64;
     p.prs.push_back(pr);
+    p.stampSizes(ProtocolParams{});
     return p;
 }
 

@@ -44,6 +44,7 @@ soloPacket(std::uint32_t payload, NodeId dest = 1)
     pr.payloadBytes = payload;
     pr.propBytes = payload;
     p.prs.push_back(pr);
+    p.stampSizes(ProtocolParams{});
     return p;
 }
 

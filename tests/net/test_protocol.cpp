@@ -40,9 +40,10 @@ TEST(Protocol, ConcatenatedPacketWireBytes)
     pkt.type = PrType::Response;
     for (int i = 0; i < 5; ++i)
         pkt.prs.push_back(pr(PrType::Response, 64));
+    pkt.stampSizes(proto);
     // 62 + 5 * (18 + 64).
-    EXPECT_EQ(pkt.wireBytes(proto), 62u + 5u * 82u);
-    EXPECT_EQ(pkt.payloadBytes(), 5u * 64u);
+    EXPECT_EQ(pkt.wireBytes, 62u + 5u * 82u);
+    EXPECT_EQ(pkt.payloadBytes, 5u * 64u);
 }
 
 TEST(Protocol, SoloPacketWireBytes)
@@ -51,7 +52,9 @@ TEST(Protocol, SoloPacketWireBytes)
     Packet pkt;
     pkt.concatenated = false;
     pkt.prs.push_back(pr(PrType::Response, 512));
-    EXPECT_EQ(pkt.wireBytes(proto), 78u + 512u);
+    pkt.stampSizes(proto);
+    EXPECT_EQ(pkt.wireBytes, 78u + 512u);
+    EXPECT_EQ(pkt.payloadBytes, 512u);
 }
 
 TEST(Protocol, ConcatenationBreaksEvenImmediately)

@@ -60,6 +60,7 @@ packetOf(PropertyRequest pr, NodeId dest)
     p.type = pr.type;
     p.concatenated = true;
     p.prs.push_back(std::move(pr));
+    p.stampSizes(ProtocolParams{});
     return p;
 }
 
@@ -195,6 +196,7 @@ TEST(Switch, MixedHitAndMissSplitsThePacket)
     // One packet with two reads: idx 50 hits, idx 51 misses.
     Packet p = packetOf(readPr(50, 1), 9);
     p.prs.push_back(readPr(51, 1));
+    p.stampSizes(ProtocolParams{});
     h.sw->receivePacket(std::move(p), 1);
     h.eq.run();
     ASSERT_EQ(h.spine.arrivals.size(), 1u);

@@ -57,6 +57,7 @@ packetOf(PropertyRequest pr, NodeId dest)
     p.type = pr.type;
     p.concatenated = true;
     p.prs.push_back(std::move(pr));
+    p.stampSizes(ProtocolParams{});
     return p;
 }
 

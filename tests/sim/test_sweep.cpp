@@ -87,12 +87,10 @@ TEST(SweepExecutor, FirstExceptionByIndexPropagates)
     }
 }
 
-TEST(SweepExecutor, JobsFromEnvDefaultsToOne)
+TEST(SweepExecutor, ZeroJobsRunsInline)
 {
-    // The variable is unset in the test environment.
-    if (!std::getenv("NETSPARSE_BENCH_JOBS"))
-        EXPECT_EQ(SweepExecutor::jobsFromEnv(), 1u);
     SweepExecutor exec(0);
+    EXPECT_EQ(exec.jobs(), 1u);
     std::vector<std::size_t> order;
     exec.run(3, [&](std::size_t i) { order.push_back(i); });
     EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));

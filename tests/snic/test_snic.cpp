@@ -64,6 +64,7 @@ readPacket(std::initializer_list<PropIdx> idxs, NodeId dest = 0)
         pr.propBytes = 64;
         p.prs.push_back(pr);
     }
+    p.stampSizes(ProtocolParams{});
     return p;
 }
 
@@ -117,6 +118,7 @@ TEST(Snic, ResponseForUnknownTidPanics)
     pr.srcTid = 60; // no such client unit
     pr.idx = 1;
     p.prs.push_back(pr);
+    p.stampSizes(ProtocolParams{});
     EXPECT_THROW(h.snic->receivePacket(std::move(p), 0),
                  std::logic_error);
 }
@@ -125,7 +127,7 @@ TEST(Snic, RxCountersTrackTraffic)
 {
     SnicHarness h;
     Packet p = readPacket({4, 8});
-    std::uint64_t wire_bytes = p.wireBytes(h.proto);
+    std::uint64_t wire_bytes = p.wireBytes;
     h.snic->receivePacket(std::move(p), 0);
     h.eq.run();
     EXPECT_EQ(h.snic->rxPackets(), 1u);
@@ -148,6 +150,7 @@ TEST(Snic, BackpressureReflectsEgressQueueAndConcatOccupancy)
         pr.payloadBytes = 1024;
         pr.propBytes = 1024;
         p.prs.push_back(pr);
+        p.stampSizes(h.proto);
         h.egress->send(std::move(p));
     }
     EXPECT_TRUE(h.snic->txBackpressured());
