@@ -11,6 +11,10 @@
  * check every count against the one committed digest, so the suite is
  * also a shard-invariance check.
  *
+ * GoldenSweep runs a three-point sweep through SweepExecutor at 1 and 4
+ * workers, which pins the order per-point runs are merged in and the
+ * "gather<N>" labels they get.
+ *
  * A mismatch prints the actual {bytes, digest} pair. Update the table
  * only for a change that is meant to move the model's outputs, and say
  * so where the change is recorded.
@@ -22,11 +26,13 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/job_scheduler.hh"
 #include "sim/span.hh"
 #include "sim/stats_export.hh"
+#include "sim/sweep.hh"
 #include "sim/telemetry.hh"
 #include "sparse/generators.hh"
 
@@ -239,5 +245,53 @@ INSTANTIATE_TEST_SUITE_P(Configs, Golden, ::testing::ValuesIn(kCases),
                          [](const auto &info) {
                              return std::string(info.param.name);
                          });
+
+/** The sweep's points on the 16-node leafspine: (stage, batched). */
+const std::pair<std::uint32_t, bool> kSweepPoints[] = {
+    {4, false}, {0, false}, {4, true}};
+
+Documents
+runSweep(unsigned jobs)
+{
+    StatsExport stats;
+    stats.setCollect(true);
+    StatsExport::Bind statsBind(stats);
+    TelemetrySink telemetry;
+    telemetry.setCollect(true);
+    TelemetrySink::Bind telemetryBind(telemetry);
+    SpanSink spans;
+    spans.setCollect(true);
+    SpanSink::Bind spanBind(spans);
+
+    SweepExecutor(jobs).run(std::size(kSweepPoints), [](std::size_t i) {
+        GoldenCase c;
+        c.name = "sweep";
+        c.stage = kSweepPoints[i].first;
+        c.batched = kSweepPoints[i].second;
+        ClusterSim(configFor(c, 1)).runGather(sliceWork(arabic(), c.nodes),
+                                              16);
+    });
+    return {digestOf(stats.toJson()), digestOf(telemetry.toJson()),
+            digestOf(spans.toJson())};
+}
+
+TEST(GoldenSweep, MergedDocumentsMatchAtOneAndFourJobs)
+{
+    const Documents want = {
+        .stats = {780854, 0xe169f124f479716full},
+        .telemetry = {30186, 0xe70bb19448bfc9e5ull},
+        .spans = {11960699, 0x8e9905432230a464ull},
+    };
+    for (unsigned jobs : {1u, 4u}) {
+        Documents got = runSweep(jobs);
+        EXPECT_EQ(got.stats, want.stats)
+            << jobs << " jobs: stats document is " << toString(got.stats);
+        EXPECT_EQ(got.telemetry, want.telemetry)
+            << jobs << " jobs: telemetry document is "
+            << toString(got.telemetry);
+        EXPECT_EQ(got.spans, want.spans)
+            << jobs << " jobs: spans document is " << toString(got.spans);
+    }
+}
 
 } // namespace
