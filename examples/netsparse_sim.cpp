@@ -72,20 +72,17 @@
  *                          also keep every span slower than US
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "runtime/cluster.hh"
 #include "runtime/job_scheduler.hh"
+#include "sim/cli.hh"
 #include "sim/span.hh"
 #include "sim/stats.hh"
-#include "sim/stats_export.hh"
-#include "sim/telemetry.hh"
-#include "sim/trace.hh"
 #include "sparse/generators.hh"
 #include "sparse/mmio.hh"
 #include "sparse/stream_gen.hh"
@@ -124,28 +121,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/**
- * Checked unsigned-integer parse for CLI flags. std::atoi silently
- * returns 0 on garbage and accepts negatives, which downstream code
- * then treats as valid configuration; here anything that is not a
- * plain non-negative integer fails loudly, naming the flag.
- */
-std::uint64_t
-parseUint(const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 0);
-    if (errno != 0 || end == text || *end != '\0' ||
-        std::strchr(text, '-') != nullptr) {
-        std::fprintf(stderr,
-                     "%s: expected a non-negative integer, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    return v;
-}
-
 } // namespace
 
 int
@@ -165,9 +140,9 @@ main(int argc, char **argv)
     bool stream = false, batched_events = false;
     bool memory_stats = false;
     bool dump_stats = false;
-    std::string stats_json, trace_out, faults_spec, telemetry_out;
+    RunOutputs outputs;
+    std::string faults_spec;
     double telemetry_interval_us = 10.0;
-    std::string spans_out;
     std::uint64_t span_sample = 0, span_tail_keep = 0;
     double span_tail_threshold_us = 0.0;
     bool span_knob = false;
@@ -185,7 +160,7 @@ main(int argc, char **argv)
         if (a == "--matrix")
             matrix_arg = next();
         else if (a == "--scale")
-            scale = std::atof(next());
+            scale = parseDouble("--scale", next());
         else if (a == "--nodes")
             nodes = static_cast<std::uint32_t>(
                 parseUint("--nodes", next()));
@@ -223,16 +198,11 @@ main(int argc, char **argv)
             faults_spec = a.substr(9);
         else if (a == "--stats")
             dump_stats = true;
-        else if (a == "--stats-json")
-            stats_json = next();
-        else if (a == "--trace-out")
-            trace_out = next();
-        else if (a == "--telemetry-out")
-            telemetry_out = next();
+        else if (std::string *path = outputs.pathFor(a))
+            *path = next();
         else if (a == "--telemetry-interval")
-            telemetry_interval_us = std::atof(next());
-        else if (a == "--spans-out")
-            spans_out = next();
+            telemetry_interval_us =
+                parseDouble("--telemetry-interval", next());
         else if (a == "--span-sample") {
             span_sample = parseUint("--span-sample", next());
             span_knob = true;
@@ -240,7 +210,8 @@ main(int argc, char **argv)
             span_tail_keep = parseUint("--span-tail-keep", next());
             span_knob = true;
         } else if (a == "--span-tail-threshold-us") {
-            span_tail_threshold_us = std::atof(next());
+            span_tail_threshold_us =
+                parseDouble("--span-tail-threshold-us", next(), true);
             span_knob = true;
         }
         else if (a == "--jobs")
@@ -308,19 +279,19 @@ main(int argc, char **argv)
         faults = FaultConfig::parse(faults_spec);
     const Tick telemetry_interval = static_cast<Tick>(
         telemetry_interval_us * static_cast<double>(ticks::us));
-    if (!telemetry_out.empty() && telemetry_interval == 0) {
+    if (!outputs.telemetry.empty() && telemetry_interval == 0) {
         std::fprintf(stderr,
                      "--telemetry-out needs a positive "
                      "--telemetry-interval\n");
         return 1;
     }
-    if (span_knob && spans_out.empty()) {
+    if (span_knob && outputs.spans.empty()) {
         std::fprintf(stderr,
                      "--span-sample/--span-tail-* need --spans-out\n");
         return 1;
     }
     SpanParams spans;
-    if (!spans_out.empty()) {
+    if (!outputs.spans.empty()) {
         spans.sampleEvery = static_cast<std::uint32_t>(span_sample);
         spans.tailKeep = static_cast<std::uint32_t>(span_tail_keep);
         spans.tailThreshold = static_cast<Tick>(
@@ -339,65 +310,46 @@ main(int argc, char **argv)
     // Every output path is probe-opened before the matrix is generated
     // or read, let alone simulated: a path into a missing directory
     // fails here at once with a clear message instead of minutes into
-    // a paper-scale run, or with a silent empty result at exit.
-    if (!stats_json.empty() &&
-        !StatsExport::instance().setOutputPath(stats_json)) {
-        std::fprintf(stderr, "cannot open --stats-json output %s\n",
-                     stats_json.c_str());
-        return 1;
-    }
-    if (!trace_out.empty() && !TraceWriter::instance().open(trace_out)) {
-        std::fprintf(stderr, "cannot open --trace-out output %s\n",
-                     trace_out.c_str());
-        return 1;
-    }
-    if (!telemetry_out.empty() &&
-        !TelemetrySink::instance().setOutputPath(telemetry_out)) {
-        std::fprintf(stderr, "cannot open --telemetry-out output %s\n",
-                     telemetry_out.c_str());
-        return 1;
-    }
-    if (!spans_out.empty() &&
-        !SpanSink::instance().setOutputPath(spans_out)) {
-        std::fprintf(stderr, "cannot open --spans-out output %s\n",
-                     spans_out.c_str());
-        return 1;
-    }
+    // a paper-scale run, or with a silent empty result at exit. Input
+    // rejected after this point discards the outputs again.
+    outputs.open();
 
     // --- Workload ---
     Csr m;
+    Partition1D part;
     GatherWorkload work;
     std::uint64_t mat_rows = 0, mat_cols = 0, mat_nnz = 0;
-    if (stream) {
-        PartitionedMatrix pm =
-            buildPartitionedBenchmark(named_kind, scale, nodes);
-        mat_rows = pm.rows;
-        mat_cols = pm.cols;
-        mat_nnz = pm.nnz;
-        work.numIdxs = pm.cols;
-        work.part = pm.part;
-        work.streams = pm.takeStreams();
-    } else {
-        if (named) {
-            m = makeBenchmarkMatrix(named_kind, scale);
+    try {
+        if (stream) {
+            PartitionedMatrix pm =
+                buildPartitionedBenchmark(named_kind, scale, nodes);
+            mat_rows = pm.rows;
+            mat_cols = pm.cols;
+            mat_nnz = pm.nnz;
+            work.numIdxs = pm.cols;
+            work.part = pm.part;
+            work.streams = pm.takeStreams();
         } else {
-            Coo coo = readMatrixMarketFile(matrix_arg);
-            if (coo.rows != coo.cols) {
-                std::fprintf(stderr,
-                             "distributed gathers need a square "
-                             "matrix\n");
-                return 1;
+            if (named) {
+                m = makeBenchmarkMatrix(named_kind, scale);
+            } else {
+                Coo coo = readMatrixMarketFile(matrix_arg);
+                if (coo.rows != coo.cols)
+                    throw std::runtime_error(
+                        "distributed gathers need a square matrix");
+                m = Csr::fromCoo(coo);
             }
-            m = Csr::fromCoo(coo);
+            mat_rows = m.rows;
+            mat_cols = m.cols;
+            mat_nnz = m.nnz();
+            part = partition == "nnz" ? Partition1D::equalNnz(m, nodes)
+                                      : Partition1D::equalRows(m.rows, nodes);
         }
-        mat_rows = m.rows;
-        mat_cols = m.cols;
-        mat_nnz = m.nnz();
+    } catch (const std::exception &e) {
+        outputs.discard();
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
     }
-    Partition1D part;
-    if (!stream)
-        part = partition == "nnz" ? Partition1D::equalNnz(m, nodes)
-                                  : Partition1D::equalRows(m.rows, nodes);
 
     // --- Cluster ---
     ClusterConfig cfg = defaultClusterConfig(nodes);
@@ -469,10 +421,7 @@ main(int argc, char **argv)
         JobScheduler sched(cfg);
         MultiJobResult mr = sched.run(std::move(specs), bg);
 
-        TraceWriter::instance().close();
-        StatsExport::instance().writeFile();
-        TelemetrySink::instance().writeFile();
-        SpanSink::instance().writeFile();
+        outputs.finish();
 
         std::printf("\nmakespan           : %10.2f us  (%u jobs, %s "
                     "queues, %s cache)\n",
@@ -507,10 +456,7 @@ main(int argc, char **argv)
     GatherRunResult r = stream ? sim.runGather(std::move(work), k)
                                : sim.runGather(m, part, k);
 
-    TraceWriter::instance().close();
-    StatsExport::instance().writeFile();
-    TelemetrySink::instance().writeFile();
-    SpanSink::instance().writeFile();
+    outputs.finish();
 
     if (dump_stats) {
         StatRegistry reg;

@@ -5,7 +5,6 @@
 #include <barrier>
 #include <cstddef>
 #include <exception>
-#include <memory>
 #include <string>
 #include <thread>
 
@@ -62,22 +61,13 @@ ShardEngine::run(std::vector<Shard> shards, Tick lookahead, Tick limit)
     std::vector<ArenaStats> memory(numShards);
     std::barrier<> barrier(static_cast<std::ptrdiff_t>(numShards));
 
-    // Capture the ambient trace configuration on the calling thread;
-    // workers bind private writers so concurrent shards never share a
-    // sink (per-shard files, like the sweep runner's per-point files).
-    const bool traceActive = TraceWriter::instance().enabled();
+    // The ambient trace path (empty when not capturing), read on the
+    // calling thread; each worker traces into "dir/run.shard<i>.json"
+    // so concurrent shards never share a writer.
     const std::string tracePath = TraceWriter::instance().path();
 
     auto worker = [&](std::size_t self) {
-        TraceWriter shardTrace;
-        std::unique_ptr<TraceWriter::Bind> traceBind;
-        if (traceActive) {
-            // "dir/run.json" -> "dir/run.shard2.json": keep the
-            // extension last so trace viewers recognize the files.
-            shardTrace.open(TraceWriter::derivedPath(
-                tracePath, "shard" + std::to_string(self)));
-            traceBind = std::make_unique<TraceWriter::Bind>(shardTrace);
-        }
+        DerivedTrace trace(tracePath, "shard" + std::to_string(self));
         EventQueue &eq = *shards[self].eq;
         for (std::uint64_t e = 0;; ++e) {
             try {
@@ -118,10 +108,6 @@ ShardEngine::run(std::vector<Shard> shards, Tick lookahead, Tick limit)
             windowStart[(e + 1) & 1].store(maxTick,
                                            std::memory_order_relaxed);
             barrier.arrive_and_wait();
-        }
-        if (traceBind) {
-            traceBind.reset();
-            shardTrace.close();
         }
         // The run is over: its buffers are home, and the pools die with
         // the worker thread.

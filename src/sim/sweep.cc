@@ -2,19 +2,29 @@
 
 #include <atomic>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "sim/logging.hh"
 #include "sim/span.hh"
 #include "sim/stats_export.hh"
 #include "sim/telemetry.hh"
 #include "sim/trace.hh"
 
 namespace netsparse {
+
+namespace {
+
+/** A sweep point's private documents, absorbed into the ambient ones. */
+struct PointDocuments
+{
+    StatsExport stats;
+    TelemetrySink telemetry;
+    SpanSink spans;
+};
+
+} // namespace
 
 void
 SweepExecutor::run(std::size_t n,
@@ -28,30 +38,17 @@ SweepExecutor::run(std::size_t n,
         return;
     }
 
-    StatsExport &ambientStats = StatsExport::instance();
-    const bool collectStats = ambientStats.enabled();
-    TraceWriter &ambientTrace = TraceWriter::instance();
-    const bool captureTrace = ambientTrace.enabled();
-    const std::string tracePath = ambientTrace.path();
+    // The calling thread's sinks; each point collects what they collect.
+    StatsExport &stats = StatsExport::instance();
+    TelemetrySink &telemetry = TelemetrySink::instance();
+    SpanSink &spans = SpanSink::instance();
+    const std::string tracePath = TraceWriter::instance().path();
 
-    TelemetrySink &ambientTelemetry = TelemetrySink::instance();
-    const bool collectTelemetry = ambientTelemetry.enabled();
-
-    SpanSink &ambientSpans = SpanSink::instance();
-    const bool collectSpans = ambientSpans.enabled();
-
-    // Per-point sinks, absorbed in index order after the join so the
-    // merged documents match a sequential sweep byte for byte.
-    std::vector<std::unique_ptr<StatsExport>> pointStats(n);
-    std::vector<std::unique_ptr<TelemetrySink>> pointTelemetry(n);
-    std::vector<std::unique_ptr<SpanSink>> pointSpans(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        pointStats[i] = std::make_unique<StatsExport>();
-        pointStats[i]->setCollect(collectStats);
-        pointTelemetry[i] = std::make_unique<TelemetrySink>();
-        pointTelemetry[i]->setCollect(collectTelemetry);
-        pointSpans[i] = std::make_unique<SpanSink>();
-        pointSpans[i]->setCollect(collectSpans);
+    std::vector<PointDocuments> points(n);
+    for (PointDocuments &p : points) {
+        p.stats.setCollect(stats.enabled());
+        p.telemetry.setCollect(telemetry.enabled());
+        p.spans.setCollect(spans.enabled());
     }
 
     std::atomic<std::size_t> next{0};
@@ -65,27 +62,14 @@ SweepExecutor::run(std::size_t n,
             if (i >= n)
                 return;
             try {
-                StatsExport::Bind statsBind(*pointStats[i]);
-                TelemetrySink::Bind telemetryBind(*pointTelemetry[i]);
-                SpanSink::Bind spanBind(*pointSpans[i]);
-                if (captureTrace) {
-                    // Event traces cannot be merged after the fact
-                    // (track ids collide), so each point writes its
-                    // own file: "dir/run.json" -> "dir/run.point3.json"
-                    // rather than the old "dir/run.json.point3", which
-                    // broke tooling expecting the extension last.
-                    TraceWriter pointTrace;
-                    TraceWriter::Bind traceBind(pointTrace);
-                    std::string path = TraceWriter::derivedPath(
-                        tracePath, "point" + std::to_string(i));
-                    if (!pointTrace.open(path))
-                        ns_warn("sweep: cannot open per-point trace ",
-                                path, "; point ", i, " runs untraced");
-                    point(i);
-                    pointTrace.close();
-                } else {
-                    point(i);
-                }
+                StatsExport::Bind statsBind(points[i].stats);
+                TelemetrySink::Bind telemetryBind(points[i].telemetry);
+                SpanSink::Bind spansBind(points[i].spans);
+                // Event traces cannot be merged after the fact (track
+                // ids collide), so each point writes its own file:
+                // "dir/run.json" -> "dir/run.point3.json".
+                DerivedTrace trace(tracePath, "point" + std::to_string(i));
+                point(i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(errMutex);
                 if (i < firstErrorIndex) {
@@ -106,15 +90,13 @@ SweepExecutor::run(std::size_t n,
     if (firstError)
         std::rethrow_exception(firstError);
 
-    if (collectStats)
-        for (std::size_t i = 0; i < n; ++i)
-            ambientStats.absorb(std::move(*pointStats[i]));
-    if (collectTelemetry)
-        for (std::size_t i = 0; i < n; ++i)
-            ambientTelemetry.absorb(std::move(*pointTelemetry[i]));
-    if (collectSpans)
-        for (std::size_t i = 0; i < n; ++i)
-            ambientSpans.absorb(std::move(*pointSpans[i]));
+    // Index order, so the merged documents match a sequential sweep
+    // byte for byte.
+    for (PointDocuments &p : points) {
+        stats.absorb(std::move(p.stats));
+        telemetry.absorb(std::move(p.telemetry));
+        spans.absorb(std::move(p.spans));
+    }
 }
 
 } // namespace netsparse

@@ -7,14 +7,15 @@
  * small thread pool while preserving the observable behavior of a
  * sequential sweep:
  *
- *  - each worker thread binds a private StatsExport and (when a trace
- *    capture is active) a private TraceWriter around every point, so
- *    concurrent simulations never share a sink;
- *  - per-point stats runs are absorb()ed into the ambient collector in
- *    point-index order, making the emitted stats JSON byte-identical to
- *    a sequential run;
+ *  - each point binds its own sinks (sim/run_document.hh): a
+ *    StatsExport, TelemetrySink and SpanSink that collect whatever the
+ *    calling thread's sinks collect, and a DerivedTrace, so concurrent
+ *    simulations never share a sink;
+ *  - after the join, one loop absorb()s each point's runs into the
+ *    ambient documents in point-index order, making the emitted stats,
+ *    telemetry and spans JSON byte-identical to a sequential run;
  *  - per-point traces land next to the ambient trace path as
- *    "<path>.point<i>";
+ *    "<path>.point<i>.json" (event traces cannot be merged);
  *  - the first exception (by point index) is rethrown on the calling
  *    thread after all workers join.
  *

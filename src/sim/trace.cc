@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -11,17 +9,6 @@
 namespace netsparse {
 
 namespace {
-
-/** Close the global writer at process exit so aborted runs keep the
- *  trace. */
-void
-atexitFlush()
-{
-    TraceWriter::global().close();
-}
-
-/** The calling thread's bound writer; null means "use the global". */
-thread_local TraceWriter *tlsWriter = nullptr;
 
 /** Ticks (ps) to the trace_events "ts" unit (us), keeping ps precision. */
 double
@@ -46,51 +33,21 @@ traceArgs(std::initializer_list<std::pair<const char *, double>> kvs)
     return os.str();
 }
 
-TraceWriter &
-TraceWriter::instance()
-{
-    return tlsWriter ? *tlsWriter : global();
-}
-
-TraceWriter &
-TraceWriter::global()
-{
-    static TraceWriter writer;
-    return writer;
-}
-
-TraceWriter::Bind::Bind(TraceWriter &w) : prev_(tlsWriter)
-{
-    tlsWriter = &w;
-}
-
-TraceWriter::Bind::~Bind()
-{
-    tlsWriter = prev_;
-}
-
 bool
 TraceWriter::open(const std::string &path)
 {
-    if (enabled_)
-        close();
-    std::FILE *probe = std::fopen(path.c_str(), "w");
-    if (!probe) {
+    close();
+    if (!detail::probeOutput(path)) {
         ns_warn("cannot open trace output ", path);
         return false;
     }
-    std::fclose(probe);
 
-    // once_flag, not a bare bool: sweep workers open per-point writers
-    // concurrently (src/sim/sweep.cc).
-    static std::once_flag atexit_once;
-    std::call_once(atexit_once, [] { std::atexit(atexitFlush); });
+    // Aborted runs keep the trace: the global writer closes at exit.
+    finishGlobalAtExit<&TraceWriter::close>();
 
+    reset();
     path_ = path;
     enabled_ = true;
-    events_.clear();
-    tracks_.clear();
-    trackNames_.clear();
     return true;
 }
 
@@ -206,7 +163,6 @@ TraceWriter::close()
 {
     if (!enabled_)
         return;
-    enabled_ = false;
     std::FILE *f = std::fopen(path_.c_str(), "w");
     if (!f) {
         ns_warn("cannot write trace output ", path_);
@@ -214,6 +170,13 @@ TraceWriter::close()
         writeEvents(f);
         std::fclose(f);
     }
+    reset();
+}
+
+void
+TraceWriter::reset()
+{
+    enabled_ = false;
     events_.clear();
     tracks_.clear();
     trackNames_.clear();

@@ -9,12 +9,11 @@
  * close(), so the output always loads in ui.perfetto.dev or
  * chrome://tracing regardless of the order spans retire in.
  *
- * instance() resolves to the calling thread's *bound* writer - by
- * default the process-wide one behind --trace-out, but a parallel sweep
- * (sim/sweep.hh) binds a private per-run writer on each worker thread
- * with TraceWriter::Bind so concurrent simulations capture into
- * separate files. Single-threaded tools keep the singleton facade
- * unchanged.
+ * instance() resolves to the calling thread's *bound* writer (the
+ * ThreadBound base of sim/run_document.hh) - by default the
+ * process-wide one behind --trace-out, but sweep points and shards run
+ * under a DerivedTrace, which binds a private writer capturing into a
+ * sibling file, so concurrent simulations never share a writer.
  *
  * Overhead discipline: tracing costs one inlined boolean test per
  * instrumentation site when disabled at runtime, and compiles away
@@ -36,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/run_document.hh"
 #include "sim/types.hh"
 
 #ifndef NETSPARSE_TRACING_ENABLED
@@ -53,31 +53,9 @@ std::string
 traceArgs(std::initializer_list<std::pair<const char *, double>> kvs);
 
 /** An event-trace sink (see the thread-binding notes above). */
-class TraceWriter
+class TraceWriter : public ThreadBound<TraceWriter>
 {
   public:
-    /** The writer bound to the calling thread (default: global()). */
-    static TraceWriter &instance();
-
-    /** The process-wide writer behind --trace-out / atexit flushing. */
-    static TraceWriter &global();
-
-    /**
-     * RAII thread binding: while alive, instance() on this thread
-     * resolves to the given writer (bindings nest).
-     */
-    class Bind
-    {
-      public:
-        explicit Bind(TraceWriter &w);
-        ~Bind();
-        Bind(const Bind &) = delete;
-        Bind &operator=(const Bind &) = delete;
-
-      private:
-        TraceWriter *prev_;
-    };
-
     /** Per-run writers are plain objects; see Bind. */
     TraceWriter() = default;
     TraceWriter(const TraceWriter &) = delete;
@@ -92,6 +70,9 @@ class TraceWriter
 
     /** Sort, write and clear the capture; disables further capture. */
     void close();
+
+    /** Drop the capture without writing it (rejected input). */
+    void reset();
 
     /** True while a capture is active (the per-site fast-path test). */
     bool enabled() const { return enabled_; }
@@ -165,6 +146,29 @@ class TraceWriter
     std::vector<Event> events_;
     std::unordered_map<std::string, std::uint32_t> tracks_;
     std::vector<std::string> trackNames_;
+};
+
+/**
+ * A worker thread's private capture next to an ambient trace: while
+ * alive, the thread traces into derivedPath(@p base, @p tag), written
+ * when the scope ends. With an empty @p base (the ambient writer was
+ * not capturing) the bound writer stays disabled.
+ */
+class DerivedTrace
+{
+  public:
+    DerivedTrace(const std::string &base, const std::string &tag)
+    {
+        if (!base.empty())
+            writer_.open(TraceWriter::derivedPath(base, tag));
+    }
+    ~DerivedTrace() { writer_.close(); }
+    DerivedTrace(const DerivedTrace &) = delete;
+    DerivedTrace &operator=(const DerivedTrace &) = delete;
+
+  private:
+    TraceWriter writer_;
+    TraceWriter::Bind bind_{writer_};
 };
 
 } // namespace netsparse
