@@ -81,9 +81,9 @@ digestOf(const std::string &doc)
 
 enum class Workload
 {
-    /** One arabic gather through ClusterSim. */
+    /** One arabic gather: ClusterSim, or JobScheduler with incast. */
     Gather,
-    /** Arabic + queen tenants, FQ, incast background (JobScheduler). */
+    /** Arabic + queen tenants with FQ (JobScheduler). */
     TwoJobs,
 };
 
@@ -96,6 +96,11 @@ struct GoldenCase
     std::uint32_t stage = 4;
     bool batched = false;
     bool faults = false;
+    /** Incast background traffic, through JobScheduler. */
+    bool incast = false;
+    bool partitionedCache = false;
+    bool perPipeCache = false;
+    bool virtualizedCqs = false;
     std::vector<std::uint32_t> shards{1};
     Digest stats, telemetry, spans;
 };
@@ -148,6 +153,9 @@ configFor(const GoldenCase &c, std::uint32_t shards)
     }
     if (c.workload == Workload::TwoJobs)
         cfg.fairQueue = true;
+    cfg.tenantCachePartitioned = c.partitionedCache;
+    cfg.cachePerPipe = c.perPipeCache;
+    cfg.virtualizedCqs = c.virtualizedCqs;
     return cfg;
 }
 
@@ -170,19 +178,24 @@ runCase(const GoldenCase &c, std::uint32_t shards)
     SpanSink::Bind spanBind(spans);
 
     ClusterConfig cfg = configFor(c, shards);
-    if (c.workload == Workload::Gather) {
+    if (c.workload == Workload::Gather && !c.incast) {
         ClusterSim(cfg).runGather(sliceWork(arabic(), c.nodes), 16);
     } else {
-        static const Csr queen =
-            makeBenchmarkMatrix(MatrixKind::Queen, 0.02);
-        std::vector<JobSpec> jobs(2);
+        std::vector<JobSpec> jobs(1);
         jobs[0].work = sliceWork(arabic(), c.nodes);
         jobs[0].k = 16;
-        jobs[1].work = sliceWork(queen, c.nodes);
-        jobs[1].k = 8;
-        jobs[1].startDelay = 2 * ticks::us;
+        if (c.workload == Workload::TwoJobs) {
+            static const Csr queen =
+                makeBenchmarkMatrix(MatrixKind::Queen, 0.02);
+            jobs.resize(2);
+            jobs[1].work = sliceWork(queen, c.nodes);
+            jobs[1].k = 8;
+            jobs[1].startDelay = 2 * ticks::us;
+        }
         BackgroundTrafficConfig bg;
-        EXPECT_TRUE(BackgroundTrafficConfig::parse("incast:0.4:300", bg));
+        if (c.incast)
+            EXPECT_TRUE(
+                BackgroundTrafficConfig::parse("incast:0.4:300", bg));
         JobScheduler(cfg).run(std::move(jobs), bg);
     }
     return {digestOf(stats.toJson()), digestOf(telemetry.toJson()),
@@ -216,9 +229,25 @@ const std::vector<GoldenCase> kCases = {
      .telemetry = {21579, 0xb2c794072500ef8cull},
      .spans = {3238284, 0x1bbe445a040d85deull}},
     {.name = "two_jobs_fq_incast", .workload = Workload::TwoJobs,
+     .incast = true, .shards = {1, 4},
      .stats = {537967, 0x90ad35e7547f88e9ull},
      .telemetry = {18863, 0xd0b97f7023404605ull},
      .spans = {4060206, 0x363e8fdb04d1b36eull}},
+    {.name = "two_jobs_partitioned_cache_vcq",
+     .workload = Workload::TwoJobs, .partitionedCache = true,
+     .virtualizedCqs = true, .shards = {1, 4},
+     .stats = {540784, 0xe5d4aa41527ce35cull},
+     .telemetry = {10447, 0xac4b62b87418f36bull},
+     .spans = {4057573, 0xaf58d205548d007dull}},
+    {.name = "per_pipe_cache_vcq", .perPipeCache = true,
+     .virtualizedCqs = true, .shards = {1, 4},
+     .stats = {265171, 0x582853f9db3a59dfull},
+     .telemetry = {8662, 0x68d59cfa6620b63bull},
+     .spans = {3242393, 0x2416c9dbf712bbc0ull}},
+    {.name = "one_job_incast", .incast = true, .shards = {1, 4},
+     .stats = {274046, 0x9501560e134347aeull},
+     .telemetry = {18118, 0x4f65adae48651e32ull},
+     .spans = {3245093, 0xc5911bad99fe8867ull}},
 };
 
 class Golden : public ::testing::TestWithParam<GoldenCase>
