@@ -178,4 +178,16 @@ Link::flushTrain()
     BufferArena<Packet>::local().recycle(std::move(t.pkts));
 }
 
+void
+drainDeliveries(DeliveryMailbox &box, EventQueue &dst)
+{
+    box.drain([&dst](PendingDelivery &&rec) {
+        dst.scheduleDelivery(rec.when, rec.key,
+                             [sink = rec.sink, port = rec.port,
+                              p = std::move(rec.pkt)]() mutable {
+                                 sink->receivePacket(std::move(p), port);
+                             });
+    });
+}
+
 } // namespace netsparse

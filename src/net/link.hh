@@ -56,6 +56,10 @@ struct PendingDelivery
 /** The per-(source shard, destination shard) delivery channel. */
 using DeliveryMailbox = EpochMailbox<PendingDelivery>;
 
+/** Schedule every delivery in @p box on the receiving shard's queue
+ *  @p dst, under the (tick, delivery key) its sender assigned. */
+void drainDeliveries(DeliveryMailbox &box, EventQueue &dst);
+
 /** Static link parameters. */
 struct LinkConfig
 {

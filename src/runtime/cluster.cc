@@ -1,6 +1,7 @@
 #include "runtime/cluster.hh"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "runtime/job_scheduler.hh"
@@ -16,19 +17,6 @@ defaultClusterConfig(std::uint32_t nodes)
     cfg.nodesPerRack = std::min<std::uint32_t>(16, nodes);
     cfg.numSpines = 16;
     return cfg;
-}
-
-ClusterSim::ClusterSim(ClusterConfig cfg) : cfg_(std::move(cfg))
-{
-    if (cfg_.eventBatching) {
-        if (cfg_.link.batchMaxPackets <= 1)
-            cfg_.link.batchMaxPackets = 16;
-        cfg_.snic.batchedServerReads = true;
-    }
-    ns_assert(cfg_.numNodes >= 1, "cluster needs nodes");
-    ns_assert(!cfg_.features.switchCache || cfg_.features.concatSwitch,
-              "the Property Cache lives in the middle pipes; enable "
-              "switch concatenation with it");
 }
 
 GatherRunResult
@@ -87,36 +75,20 @@ GatherRunResult::exportStats(StatRegistry &reg) const
     // Resilience keys, gated on their subsystems so a lossless,
     // retry-off run exports the exact pre-resilience document.
     if (recoveryEnabled) {
-        reg.set("cluster.recovery.retransmits",
-                static_cast<double>(sumNodes(
-                    [](const NodeRunStats &n) { return n.retransmits; })));
-        reg.set("cluster.recovery.nacks",
-                static_cast<double>(sumNodes(
-                    [](const NodeRunStats &n) { return n.nacks; })));
-        reg.set("cluster.recovery.corruptDropped",
-                static_cast<double>(sumNodes([](const NodeRunStats &n) {
-                    return n.corruptDropped;
-                })));
-        reg.set("cluster.recovery.duplicatesSuppressed",
-                static_cast<double>(sumNodes([](const NodeRunStats &n) {
-                    return n.duplicatesSuppressed;
-                })));
-        reg.set("cluster.recovery.retriesExhausted",
-                static_cast<double>(sumNodes([](const NodeRunStats &n) {
-                    return n.retriesExhausted;
-                })));
-        reg.set("cluster.recovery.watchdogFailures",
-                static_cast<double>(sumNodes([](const NodeRunStats &n) {
-                    return n.watchdogFailures;
-                })));
-        reg.set("cluster.recovery.commandRetries",
-                static_cast<double>(sumNodes([](const NodeRunStats &n) {
-                    return n.commandRetries;
-                })));
-        reg.set("cluster.recovery.permanentFailures",
-                static_cast<double>(sumNodes([](const NodeRunStats &n) {
-                    return n.permanentFailures;
-                })));
+        const std::pair<const char *, std::uint64_t NodeRunStats::*>
+            recovery[] = {
+                {"retransmits", &NodeRunStats::retransmits},
+                {"nacks", &NodeRunStats::nacks},
+                {"corruptDropped", &NodeRunStats::corruptDropped},
+                {"duplicatesSuppressed", &NodeRunStats::duplicatesSuppressed},
+                {"retriesExhausted", &NodeRunStats::retriesExhausted},
+                {"watchdogFailures", &NodeRunStats::watchdogFailures},
+                {"commandRetries", &NodeRunStats::commandRetries},
+                {"permanentFailures", &NodeRunStats::permanentFailures},
+            };
+        for (const auto &[name, field] : recovery)
+            reg.set(std::string("cluster.recovery.") + name,
+                    static_cast<double>(sumNodes(field)));
         reg.set("cluster.recovery.cachePoisonRejected",
                 static_cast<double>(cachePoisonRejected));
         reg.set("cluster.recovery.cacheBypasses",

@@ -13,6 +13,7 @@
 #define NETSPARSE_RUNTIME_CLUSTER_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -235,14 +236,14 @@ struct GatherRunResult
     /** Reads that bypassed the Property Cache (refetches). */
     std::uint64_t cacheBypasses = 0;
 
-    /** Sum of a recovery counter over all nodes. */
+    /** Sum of a per-node counter (a member pointer or an accessor). */
     template <typename F>
     std::uint64_t
     sumNodes(F &&field) const
     {
         std::uint64_t total = 0;
         for (const auto &st : nodes)
-            total += field(st);
+            total += std::invoke(field, st);
         return total;
     }
 
@@ -294,7 +295,7 @@ struct GatherWorkload
 class ClusterSim
 {
   public:
-    explicit ClusterSim(ClusterConfig cfg);
+    explicit ClusterSim(ClusterConfig cfg) : cfg_(std::move(cfg)) {}
 
     /**
      * Run the communication phase of one kernel iteration: every node
@@ -312,8 +313,6 @@ class ClusterSim
      * paper-scale path). The workload's streams are consumed.
      */
     GatherRunResult runGather(GatherWorkload &&work, std::uint32_t k);
-
-    const ClusterConfig &config() const { return cfg_; }
 
   private:
     ClusterConfig cfg_;

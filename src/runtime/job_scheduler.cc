@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "runtime/shard_map.hh"
@@ -74,67 +75,174 @@ exportTenantStats(StatRegistry &reg, const std::string &prefix,
             static_cast<double>(r.prsServedByCache));
     reg.set(prefix + ".tailGoodput", r.tailGoodput);
     reg.set(prefix + ".tailLineUtil", r.tailLineUtil);
-    double prs = 0, filtered = 0, coalesced = 0, idxs = 0;
-    double rx_bytes = 0, rx_payload = 0, rx_packets = 0;
-    for (const NodeRunStats &st : r.nodes) {
-        prs += static_cast<double>(st.prsIssued);
-        filtered += static_cast<double>(st.filtered);
-        coalesced += static_cast<double>(st.coalesced);
-        idxs += static_cast<double>(st.idxsProcessed);
-        rx_bytes += static_cast<double>(st.rxBytes);
-        rx_payload += static_cast<double>(st.rxPayloadBytes);
-        rx_packets += static_cast<double>(st.rxPackets);
-    }
-    reg.set(prefix + ".prsIssued", prs);
-    reg.set(prefix + ".filtered", filtered);
-    reg.set(prefix + ".coalesced", coalesced);
-    reg.set(prefix + ".idxsProcessed", idxs);
-    reg.set(prefix + ".rxBytes", rx_bytes);
-    reg.set(prefix + ".rxPayloadBytes", rx_payload);
-    reg.set(prefix + ".rxPackets", rx_packets);
+    const std::pair<const char *, std::uint64_t NodeRunStats::*> sums[] = {
+        {"prsIssued", &NodeRunStats::prsIssued},
+        {"filtered", &NodeRunStats::filtered},
+        {"coalesced", &NodeRunStats::coalesced},
+        {"idxsProcessed", &NodeRunStats::idxsProcessed},
+        {"rxBytes", &NodeRunStats::rxBytes},
+        {"rxPayloadBytes", &NodeRunStats::rxPayloadBytes},
+        {"rxPackets", &NodeRunStats::rxPackets},
+    };
+    for (const auto &[name, field] : sums)
+        reg.set(prefix + "." + name, static_cast<double>(r.sumNodes(field)));
     reg.setHistogram(prefix + ".finishTimeNs", r.finishTimeHistogram());
 }
 
-} // namespace
-
-JobScheduler::JobScheduler(ClusterConfig cfg) : cfg_(std::move(cfg))
+Topology
+makeTopology(const ClusterConfig &cfg)
 {
-    if (cfg_.eventBatching) {
-        if (cfg_.link.batchMaxPackets <= 1)
-            cfg_.link.batchMaxPackets = 16;
-        cfg_.snic.batchedServerReads = true;
+    switch (cfg.topology) {
+      case TopologyKind::LeafSpine: {
+        std::uint32_t racks =
+            (cfg.numNodes + cfg.nodesPerRack - 1) / cfg.nodesPerRack;
+        return Topology::leafSpine(racks, cfg.nodesPerRack, cfg.numSpines);
+      }
+      case TopologyKind::HyperX:
+        // 4x4x2 switches, 4 hosts each, width-4 trunks (Section 9.6)
+        ns_assert(cfg.numNodes == 128,
+                  "the HyperX configuration is 128 nodes");
+        return Topology::hyperX(4, 4, 2, 4, 4);
+      case TopologyKind::Dragonfly:
+        ns_assert(cfg.numNodes == 128,
+                  "the Dragonfly configuration is 128 nodes");
+        return Topology::dragonfly(4, 8, 4, 4);
     }
-    ns_assert(cfg_.numNodes >= 1, "cluster needs nodes");
-    ns_assert(!cfg_.features.switchCache || cfg_.features.concatSwitch,
-              "the Property Cache lives in the middle pipes; enable "
-              "switch concatenation with it");
+    ns_panic("unknown topology kind");
 }
 
-MultiJobResult
-JobScheduler::run(std::vector<JobSpec> &&jobs,
-                  const BackgroundTrafficConfig &bg)
+/** A cross-shard delivery channel; padded, its neighbors belong to
+ *  other threads. */
+struct alignas(64) PaddedMailbox
 {
-    const auto T = static_cast<std::uint32_t>(jobs.size());
-    ns_assert(T >= 1, "the scheduler needs at least one job");
-    // A single job with no background traffic is the legacy cluster:
-    // identical construction order, component names and stats
-    // document, by design (see the header comment).
-    const bool multi = T > 1 || bg.enabled();
-    // Buffer pools live for one run: whatever this thread parked before
-    // (a bench's own concatenator, an aborted run) is not this run's.
-    drainThreadArenas();
+    DeliveryMailbox box;
+};
 
-    std::vector<std::uint32_t> prop_bytes(T);
-    std::uint32_t max_prop_bytes = 0;
+/**
+ * Every component of one run, wired and ready to dispatch. The
+ * constructor is the build phase; JobScheduler::run owns the value and
+ * drives the run, merge and collect phases on it. Built in place and
+ * never moved: routing closures and links point into it.
+ *
+ * Construction order is part of the determinism contract: links take
+ * their ordering ids, and components their span and telemetry order
+ * keys, in the order the build steps create them.
+ */
+struct BuiltCluster
+{
+    BuiltCluster(const ClusterConfig &cfg, std::vector<JobSpec> &&jobs,
+                 const BackgroundTrafficConfig &bg);
+    BuiltCluster(const BuiltCluster &) = delete;
+    BuiltCluster &operator=(const BuiltCluster &) = delete;
+
+    // Build steps the constructor runs, in this order.
+    void buildSnics();
+    void buildSwitches();
+    /** Links and shard mailboxes, then routes and per-kernel setup. */
+    void buildLinks();
+    void nameSpanComponents();
+    void registerTelemetry();
+
+    // The phases after the build.
+    ShardEngine::Result run();
+    void merge(Tick final_tick);
+    MultiJobResult collect(const ShardEngine::Result &e) const;
+    void exportSnapshot(const MultiJobResult &mr,
+                        const ShardEngine::Result &e) const;
+
+    /** Copy the engine outcome into a job or the multi-job result. */
+    template <typename Result>
+    void
+    record(Result &r, const ShardEngine::Result &e) const
+    {
+        r.executedEvents = e.executedEvents;
+        r.finalTick = e.finalTick;
+        r.simShards = shardMap.numShards;
+        r.lookaheadTicks = shardMap.numShards > 1 ? lookahead : 0;
+        r.epochs = e.epochs;
+    }
+    EventQueue &
+    nodeQueue(NodeId n) const
+    {
+        return *queues[shardMap.shardOfNode(n)];
+    }
+    /** Tenant @p t's slice of node @p nid (slices are nid-major). */
+    Snic &
+    snicAt(NodeId nid, std::uint32_t t) const
+    {
+        return *snics[std::size_t{nid} * T + t];
+    }
+    /** "node<n>.<leaf>", or "node<n>.job<t>.<leaf>" with shared nodes. */
+    std::string
+    sliceName(NodeId nid, std::uint32_t t, const char *leaf) const
+    {
+        std::string node = "node" + std::to_string(nid);
+        return multi ? node + ".job" + std::to_string(t) + "." + leaf
+                     : node + "." + leaf;
+    }
+
+    const ClusterConfig &cfg;
+    std::vector<JobSpec> jobs;
+    const BackgroundTrafficConfig bg;
+    /** Tenants (jobs). */
+    const std::uint32_t T;
+    /** False for the legacy cluster (one job, no background traffic):
+     *  its names and stats document are the single-job ones. */
+    const bool multi;
+    const Topology topo;
+    ShardMap shardMap;
+    std::vector<std::unique_ptr<EventQueue>> queues;
+
+    /** An enabled sink arms span tracing and interval telemetry. */
+    const bool spansOn;
+    const bool telemetryOn;
+    SpanParams spanParams;
+    std::vector<std::unique_ptr<SpanBuffer>> spanBufs;
+    /** Span component names, indexed by span component id. */
+    std::vector<std::string> spanComps;
+
+    std::vector<std::unique_ptr<Snic>> snics;
+    bool recoveryEnabled = false;
+    std::vector<std::unique_ptr<TenantDemux>> demuxes;
+    std::vector<std::unique_ptr<Switch>> switches;
+    /** Stats/telemetry identity of each switch ("tor<i>"/"spine<j>"). */
+    std::vector<std::string> switchNames;
+
+    std::vector<std::vector<PaddedMailbox>> mailboxes;
+    Tick lookahead = maxTick;
+    std::vector<std::unique_ptr<Link>> links;
+    /** The shard of each link's sender (which drives and samples it). */
+    std::vector<std::uint32_t> linkShards;
+    std::vector<Link *> nicEgress;
+
+    std::vector<std::unique_ptr<HostNode>> hosts;
+    std::vector<std::unique_ptr<BackgroundSource>> bgSources;
+    std::vector<std::unique_ptr<TelemetryProbe>> probes;
+};
+
+BuiltCluster::BuiltCluster(const ClusterConfig &cfg_in,
+                           std::vector<JobSpec> &&jobs_in,
+                           const BackgroundTrafficConfig &bg_in)
+    : cfg(cfg_in), jobs(std::move(jobs_in)), bg(bg_in),
+      T(static_cast<std::uint32_t>(jobs.size())),
+      multi(T > 1 || bg.enabled()), topo(makeTopology(cfg)),
+      spansOn(SpanSink::instance().enabled()),
+      // Interval telemetry and the PR latency lifecycle share one gate:
+      // both cost nothing (no collectors, no stamping, a dead probe
+      // branch in the dispatch loop) unless the sink is enabled.
+      telemetryOn(TelemetrySink::instance().enabled() &&
+                  cfg.telemetryInterval > 0)
+{
+    ns_assert(T >= 1, "the scheduler needs at least one job");
     for (std::uint32_t t = 0; t < T; ++t) {
         const JobSpec &job = jobs[t];
-        ns_assert(job.work.part.numParts() == cfg_.numNodes,
+        ns_assert(job.work.part.numParts() == cfg.numNodes,
                   "job ", t, ": partition has ",
-                  job.work.part.numParts(), " parts for ", cfg_.numNodes,
+                  job.work.part.numParts(), " parts for ", cfg.numNodes,
                   " nodes");
-        ns_assert(job.work.streams.size() == cfg_.numNodes,
+        ns_assert(job.work.streams.size() == cfg.numNodes,
                   "job ", t, ": workload has ", job.work.streams.size(),
-                  " streams for ", cfg_.numNodes, " nodes");
+                  " streams for ", cfg.numNodes, " nodes");
         ns_assert(job.work.numIdxs >= job.work.part.total(),
                   "job ", t, ": property space smaller than the "
                   "partition");
@@ -143,193 +251,163 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
                   "job ", t, ": property space too large for "
                   "tenant-qualified keys");
         ns_assert(job.k >= 1, "job ", t, ": k must be positive");
-        prop_bytes[t] = 4 * job.k;
-        max_prop_bytes = std::max(max_prop_bytes, prop_bytes[t]);
     }
+    ns_assert(topo.numNodes() == cfg.numNodes, "topology node mismatch");
 
-    // --- Topology ---
-    Topology topo = [&] {
-        switch (cfg_.topology) {
-          case TopologyKind::LeafSpine: {
-            std::uint32_t racks =
-                (cfg_.numNodes + cfg_.nodesPerRack - 1) /
-                cfg_.nodesPerRack;
-            return Topology::leafSpine(racks, cfg_.nodesPerRack,
-                                       cfg_.numSpines);
-          }
-          case TopologyKind::HyperX:
-            // 4x4x2 switches, 4 hosts each, width-4 trunks (Section 9.6)
-            ns_assert(cfg_.numNodes == 128,
-                      "the HyperX configuration is 128 nodes");
-            return Topology::hyperX(4, 4, 2, 4, 4);
-          case TopologyKind::Dragonfly:
-            ns_assert(cfg_.numNodes == 128,
-                      "the Dragonfly configuration is 128 nodes");
-            return Topology::dragonfly(4, 8, 4, 4);
-        }
-        ns_panic("unknown topology kind");
-    }();
-    ns_assert(topo.numNodes() == cfg_.numNodes, "topology node mismatch");
-
-    // --- Shard map and per-shard event queues ---
     // Rack-granular partition: a ToR plus its rack's hosts and SNICs
     // share one queue; a zero-latency link would leave no lookahead,
     // so such configurations fall back to a single shard.
     std::uint32_t shard_request =
-        resolveShardCount(cfg_.simShards, topo.numTors());
-    if (cfg_.link.latency == 0)
+        resolveShardCount(cfg.simShards, topo.numTors());
+    if (cfg.link.latency == 0)
         shard_request = 1;
-    ShardMap shard_map = ShardMap::build(topo, shard_request);
-    const std::uint32_t num_shards = shard_map.numShards;
-
-    std::vector<std::unique_ptr<EventQueue>> queues;
-    queues.reserve(num_shards);
-    for (std::uint32_t s = 0; s < num_shards; ++s)
+    shardMap = ShardMap::build(topo, shard_request);
+    for (std::uint32_t s = 0; s < shardMap.numShards; ++s)
         queues.push_back(std::make_unique<EventQueue>());
+    // Span tracing (sim/span.hh): one recorder per shard, reached
+    // through the shard's own queue. An enabled sink with all-zero
+    // params (the NETSPARSE_SPANS_OUT env path, where nothing touches
+    // ClusterConfig) falls back to the representative 1/64 sample,
+    // matching the CLI default.
+    spanParams = cfg.spans;
+    if (spansOn && !spanParams.enabled())
+        spanParams.sampleEvery = 64;
+    for (std::uint32_t s = 0; spansOn && s < shardMap.numShards; ++s) {
+        spanBufs.push_back(std::make_unique<SpanBuffer>(spanParams));
+        queues[s]->setSpanBuffer(spanBufs.back().get());
+    }
 
-    // --- Span tracing (sim/span.hh) ---
-    // One recorder per shard, reached through the shard's own queue;
-    // the post-run merge restores one shard-count-invariant document.
-    // An enabled sink with all-zero params (the NETSPARSE_SPANS_OUT
-    // env path, where nothing touches ClusterConfig) falls back to the
-    // representative 1/64 sample, matching the CLI default.
-    const bool spans_on = SpanSink::instance().enabled();
-    SpanParams span_params = cfg_.spans;
-    if (spans_on && !span_params.enabled())
-        span_params.sampleEvery = 64;
-    std::vector<std::unique_ptr<SpanBuffer>> span_bufs;
-    if (spans_on) {
-        span_bufs.reserve(num_shards);
-        for (std::uint32_t s = 0; s < num_shards; ++s) {
-            span_bufs.push_back(
-                std::make_unique<SpanBuffer>(span_params));
-            queues[s]->setSpanBuffer(span_bufs.back().get());
+    buildSnics();
+    buildSwitches();
+    buildLinks();
+    if (spansOn)
+        nameSpanComponents();
+    // One host per (node, tenant), admitted at its job's startDelay.
+    for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
+        for (std::uint32_t t = 0; t < T; ++t) {
+            hosts.push_back(std::make_unique<HostNode>(
+                nodeQueue(nid), cfg.host, snicAt(nid, t),
+                std::move(jobs[t].work.streams[nid]), 4 * jobs[t].k));
+            // Completion is read off HostNode::done() after the run; a
+            // shared counter would be written concurrently from
+            // several shards.
+            HostNode *h = hosts.back().get();
+            if (jobs[t].startDelay == 0)
+                h->start([] {});
+            else
+                nodeQueue(nid).schedule(jobs[t].startDelay,
+                                        [h] { h->start([] {}); });
         }
     }
-    auto node_queue = [&](NodeId n) -> EventQueue & {
-        return *queues[shard_map.shardOfNode(n)];
-    };
-    auto switch_queue = [&](SwitchId s) -> EventQueue & {
-        return *queues[shard_map.shardOfSwitch(s)];
-    };
+    if (bg.enabled()) {
+        for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
+            bgSources.push_back(std::make_unique<BackgroundSource>(
+                nodeQueue(nid), bg, nid, cfg.numNodes, *nicEgress[nid]));
+            bgSources.back()->start();
+        }
+    }
+    if (telemetryOn)
+        registerTelemetry();
+}
 
-    // --- SNICs: one virtual slice per (node, tenant) ---
-    SnicConfig snic_base = cfg_.snic;
-    snic_base.proto = cfg_.proto;
-    snic_base.rigUnit.filterEnabled = cfg_.features.filter;
-    snic_base.rigUnit.coalesceEnabled = cfg_.features.coalesce;
-    Clock snic_clock(snic_base.rigUnit.clockHz);
-    snic_base.concat.proto = cfg_.proto;
-    snic_base.concat.enabled = cfg_.features.concatNic;
-    snic_base.concat.delay =
-        snic_clock.cycles(cfg_.nicConcatDelayCycles);
-    snic_base.concat.virtualized = cfg_.virtualizedCqs;
+void
+BuiltCluster::buildSnics()
+{
+    SnicConfig base = cfg.snic;
+    base.proto = cfg.proto;
+    base.rigUnit.filterEnabled = cfg.features.filter;
+    base.rigUnit.coalesceEnabled = cfg.features.coalesce;
+    Clock snic_clock(base.rigUnit.clockHz);
+    base.concat.proto = cfg.proto;
+    base.concat.enabled = cfg.features.concatNic;
+    base.concat.delay = snic_clock.cycles(cfg.nicConcatDelayCycles);
+    base.concat.virtualized = cfg.virtualizedCqs;
     // A lossy fabric needs the reliable-PR layer to terminate; the
     // user may also enable it explicitly on a lossless one.
-    if (cfg_.faults.enabled())
-        snic_base.rigUnit.retry.enabled = true;
-    if (spans_on) {
-        snic_base.rigUnit.spanSampleThreshold =
-            span_params.sampleThreshold();
-        snic_base.rigUnit.spanRecordAll = span_params.recordAll();
-        snic_base.rigUnit.spanSeed = span_params.seed;
+    if (cfg.faults.enabled())
+        base.rigUnit.retry.enabled = true;
+    if (spansOn) {
+        base.rigUnit.spanSampleThreshold = spanParams.sampleThreshold();
+        base.rigUnit.spanRecordAll = spanParams.recordAll();
+        base.rigUnit.spanSeed = spanParams.seed;
     }
-    const bool recovery_enabled = snic_base.rigUnit.retry.enabled;
+    recoveryEnabled = base.rigUnit.retry.enabled;
 
-    // Interval telemetry and the PR latency lifecycle share one gate:
-    // both cost nothing (no collectors, no stamping, a dead probe
-    // branch in the dispatch loop) unless the sink is enabled.
-    const bool telemetry_on =
-        TelemetrySink::instance().enabled() && cfg_.telemetryInterval > 0;
-
-    // Slices are nid-major (snics[nid * T + t]): each tenant keeps its
-    // own RIG units, Idx Filter and retry state; the node's physical
-    // NIC egress link is shared below.
-    std::vector<std::unique_ptr<Snic>> snics;
-    snics.reserve(std::size_t{cfg_.numNodes} * T);
-    auto snic_at = [&](NodeId nid, std::uint32_t t) -> Snic & {
-        return *snics[std::size_t{nid} * T + t];
-    };
-    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
+    // One virtual slice per (node, tenant): each tenant keeps its own
+    // RIG units, Idx Filter and retry state; the node's physical NIC
+    // egress link is shared (buildLinks).
+    snics.reserve(std::size_t{cfg.numNodes} * T);
+    for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
         for (std::uint32_t t = 0; t < T; ++t) {
-            SnicConfig sc = snic_base;
+            SnicConfig sc = base;
             sc.tenant = static_cast<std::uint16_t>(t);
-            std::string name =
-                multi ? "node" + std::to_string(nid) + ".job" +
-                            std::to_string(t) + ".snic"
-                      : "node" + std::to_string(nid) + ".snic";
             const Partition1D *jpart = &jobs[t].work.part;
             snics.push_back(std::make_unique<Snic>(
-                node_queue(nid), sc, nid,
+                nodeQueue(nid), sc, nid,
                 [jpart](PropIdx idx) {
                     return jpart->ownerOf(
                         static_cast<std::uint32_t>(idx));
                 },
-                jobs[t].work.numIdxs, std::move(name)));
+                jobs[t].work.numIdxs, sliceName(nid, t, "snic")));
             snics.back()->setOwnerPartition(jobs[t].work.part);
-            if (telemetry_on)
+            if (telemetryOn)
                 snics.back()->enablePrLatency();
         }
     }
 
     // Multi-tenant downlinks terminate at a per-node demux.
-    std::vector<std::unique_ptr<TenantDemux>> demuxes;
     if (multi) {
-        demuxes.reserve(cfg_.numNodes);
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
+        for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
             demuxes.push_back(std::make_unique<TenantDemux>());
             for (std::uint32_t t = 0; t < T; ++t)
-                demuxes.back()->attach(&snic_at(nid, t));
+                demuxes.back()->attach(&snicAt(nid, t));
         }
     }
+}
 
-    // --- Switches ---
-    Clock switch_clock(cfg_.switchClockHz);
-    std::vector<std::unique_ptr<Switch>> switches;
-    switches.reserve(topo.numSwitches());
+void
+BuiltCluster::buildSwitches()
+{
+    Clock switch_clock(cfg.switchClockHz);
+    std::uint32_t tors = 0, spines = 0;
     for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
         SwitchConfig sw_cfg;
-        sw_cfg.proto = cfg_.proto;
-        sw_cfg.pipelineLatency = cfg_.switchPipelineLatency;
-        sw_cfg.pipeClockHz = cfg_.switchClockHz;
-        bool tor_extensions =
+        sw_cfg.proto = cfg.proto;
+        sw_cfg.pipelineLatency = cfg.switchPipelineLatency;
+        sw_cfg.pipeClockHz = cfg.switchClockHz;
+        sw_cfg.netsparseEnabled =
             topo.isTor(sid) &&
-            (cfg_.features.concatSwitch || cfg_.features.switchCache);
-        sw_cfg.netsparseEnabled = tor_extensions;
-        sw_cfg.concat.proto = cfg_.proto;
-        sw_cfg.concat.enabled = cfg_.features.concatSwitch;
+            (cfg.features.concatSwitch || cfg.features.switchCache);
+        sw_cfg.concat.proto = cfg.proto;
+        sw_cfg.concat.enabled = cfg.features.concatSwitch;
         sw_cfg.concat.delay =
-            switch_clock.cycles(cfg_.switchConcatDelayCycles);
-        sw_cfg.concat.virtualized = cfg_.virtualizedCqs;
+            switch_clock.cycles(cfg.switchConcatDelayCycles);
+        sw_cfg.concat.virtualized = cfg.virtualizedCqs;
         // Concurrent tenants must not share concatenated packets: the
         // destination demux dispatches whole packets by tenant.
         sw_cfg.concat.tenantLanes = T;
-        sw_cfg.cache = cfg_.cacheGeometry;
+        sw_cfg.cache = cfg.cacheGeometry;
         sw_cfg.cache.totalBytes =
-            cfg_.features.switchCache ? cfg_.propertyCacheBytes : 0;
-        sw_cfg.cachePerPipe = cfg_.cachePerPipe;
+            cfg.features.switchCache ? cfg.propertyCacheBytes : 0;
+        sw_cfg.cachePerPipe = cfg.cachePerPipe;
         sw_cfg.numTenants = T;
-        sw_cfg.tenantCachePartitioned =
-            cfg_.tenantCachePartitioned && T > 1;
-        sw_cfg.fairQueue = cfg_.fairQueue;
+        sw_cfg.tenantCachePartitioned = cfg.tenantCachePartitioned && T > 1;
+        sw_cfg.fairQueue = cfg.fairQueue;
         // Corrupt responses must not poison the rack caches.
-        sw_cfg.verifyResponses = cfg_.faults.enabled();
+        sw_cfg.verifyResponses = cfg.faults.enabled();
         switches.push_back(std::make_unique<Switch>(
-            switch_queue(sid), sw_cfg, sid,
+            *queues[shardMap.shardOfSwitch(sid)], sw_cfg, sid,
             "switch" + std::to_string(sid)));
+        // Numbered in construction order, like the stats document.
+        switchNames.push_back(topo.isTor(sid)
+                                  ? "tor" + std::to_string(tors++)
+                                  : "spine" + std::to_string(spines++));
     }
-    // Stats/telemetry identity of each switch ("tor<i>"/"spine<j>",
-    // numbered in construction order like the stats document).
-    std::vector<std::string> switch_names(topo.numSwitches());
-    {
-        std::uint32_t tors = 0, spines = 0;
-        for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid)
-            switch_names[sid] =
-                topo.isTor(sid) ? "tor" + std::to_string(tors++)
-                                : "spine" + std::to_string(spines++);
-    }
+}
 
-    // --- Links ---
+void
+BuiltCluster::buildLinks()
+{
     // One directed link per (switch port, direction) plus one egress
     // link per host NIC. Ordering ids are assigned in construction
     // order - a per-run-deterministic numbering that forms the
@@ -339,31 +417,19 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
     // Cross-shard links (always switch-to-switch under the rack
     // partition) deposit deliveries into per-(src, dst) shard
     // mailboxes; their minimum latency is the engine's lookahead.
-    struct alignas(64) PaddedMailbox
-    {
-        DeliveryMailbox box; // padded: neighbors belong to other threads
-    };
-    std::vector<std::vector<PaddedMailbox>> mailboxes(num_shards);
+    mailboxes.resize(shardMap.numShards);
     for (auto &row : mailboxes)
-        row = std::vector<PaddedMailbox>(num_shards);
-    Tick lookahead = maxTick;
-    std::uint32_t next_link_id = 0;
-    std::vector<std::unique_ptr<Link>> links;
-    // links[i] is sampled by the shard whose events drive it: its
-    // sender's (telemetry registration below).
-    std::vector<std::uint32_t> link_shards;
-
-    auto bind_link = [&](Link &link, std::uint32_t src_shard,
-                         std::uint32_t dst_shard, Tick latency) {
-        link.setOrderingId(next_link_id++);
-        link_shards.push_back(src_shard);
+        row = std::vector<PaddedMailbox>(shardMap.numShards);
+    auto bind_link = [this](Link &link, std::uint32_t src_shard,
+                            std::uint32_t dst_shard, Tick latency) {
+        link.setOrderingId(static_cast<std::uint32_t>(linkShards.size()));
+        linkShards.push_back(src_shard);
         // The injector keys its fault stream on the ordering id just
         // assigned, so the injected pattern is shard-count-invariant.
-        if (cfg_.faults.enabled())
-            link.configureFaults(cfg_.faults);
+        if (cfg.faults.enabled())
+            link.configureFaults(cfg.faults);
         if (src_shard != dst_shard) {
-            link.setCrossShardOutbox(
-                &mailboxes[src_shard][dst_shard].box);
+            link.setCrossShardOutbox(&mailboxes[src_shard][dst_shard].box);
             lookahead = std::min(lookahead, latency);
         }
     };
@@ -372,32 +438,31 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         const auto &ports = topo.ports(sid);
         for (std::uint32_t p = 0; p < ports.size(); ++p) {
             const PortPeer &peer = ports[p];
-            LinkConfig lc = cfg_.link;
+            LinkConfig lc = cfg.link;
             lc.bandwidth = Bandwidth::fromGBps(
-                cfg_.link.bandwidth.bytesPerSecond() / 1e9 *
+                cfg.link.bandwidth.bytesPerSecond() / 1e9 *
                 peer.bwMultiplier);
             PacketSink *sink = nullptr;
             std::uint32_t sink_port = 0;
             std::uint32_t dst_shard = 0;
-            bool to_host = false;
-            if (peer.kind == PortPeer::Kind::Host) {
+            const bool to_host = peer.kind == PortPeer::Kind::Host;
+            if (to_host) {
                 sink = multi ? static_cast<PacketSink *>(
                                    demuxes[peer.id].get())
-                             : static_cast<PacketSink *>(
-                                   &snic_at(peer.id, 0));
-                to_host = true;
-                dst_shard = shard_map.shardOfNode(peer.id);
-                ns_assert(dst_shard == shard_map.shardOfSwitch(sid),
+                             : &snicAt(peer.id, 0);
+                dst_shard = shardMap.shardOfNode(peer.id);
+                ns_assert(dst_shard == shardMap.shardOfSwitch(sid),
                           "host severed from its ToR by the partition");
             } else {
                 sink = switches[peer.id].get();
                 sink_port = peer.peerPort;
-                dst_shard = shard_map.shardOfSwitch(peer.id);
+                dst_shard = shardMap.shardOfSwitch(peer.id);
             }
             links.push_back(std::make_unique<Link>(
-                switch_queue(sid), lc, cfg_.proto, sink, sink_port,
-                "sw" + std::to_string(sid) + ".p" + std::to_string(p)));
-            bind_link(*links.back(), shard_map.shardOfSwitch(sid),
+                *queues[shardMap.shardOfSwitch(sid)], lc, cfg.proto, sink,
+                sink_port, "sw" + std::to_string(sid) + ".p" +
+                               std::to_string(p)));
+            bind_link(*links.back(), shardMap.shardOfSwitch(sid),
                       dst_shard, lc.latency);
             switches[sid]->attachPort(p, links.back().get(), to_host);
         }
@@ -405,100 +470,63 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
     // Host egress links (NIC -> ToR); always intra-shard. Every tenant
     // slice of a node transmits through the same physical link - its
     // busy-until chain is where the slices contend.
-    std::vector<Link *> nic_egress(cfg_.numNodes);
-    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
+    nicEgress.resize(cfg.numNodes);
+    for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
         SwitchId tor = topo.switchOf(nid);
         links.push_back(std::make_unique<Link>(
-            node_queue(nid), cfg_.link, cfg_.proto, switches[tor].get(),
+            nodeQueue(nid), cfg.link, cfg.proto, switches[tor].get(),
             topo.hostPort(nid), "node" + std::to_string(nid) + ".tx"));
-        bind_link(*links.back(), shard_map.shardOfNode(nid),
-                  shard_map.shardOfSwitch(tor), cfg_.link.latency);
-        nic_egress[nid] = links.back().get();
+        bind_link(*links.back(), shardMap.shardOfNode(nid),
+                  shardMap.shardOfSwitch(tor), cfg.link.latency);
+        nicEgress[nid] = links.back().get();
         for (std::uint32_t t = 0; t < T; ++t)
-            snic_at(nid, t).attachEgress(links.back().get());
+            snicAt(nid, t).attachEgress(links.back().get());
     }
-    ns_assert(num_shards == 1 || (lookahead > 0 && lookahead != maxTick),
+    ns_assert(shardMap.numShards == 1 ||
+                  (lookahead > 0 && lookahead != maxTick),
               "multi-shard run without a positive cross-shard latency");
 
+    // Routing and per-kernel configuration. Shared or partitioned, the
+    // cache provisions for the widest property in flight (capacity
+    // accounting only; checksums are what is stored).
+    std::uint32_t max_prop_bytes = 0;
+    for (const JobSpec &job : jobs)
+        max_prop_bytes = std::max(max_prop_bytes, 4 * job.k);
+    for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
+        switches[sid]->setRouteFn([this, sid](NodeId dest) {
+            return topo.route(sid, dest);
+        });
+        switches[sid]->configureForKernel(max_prop_bytes);
+    }
+    for (auto &snic : snics)
+        snic->configureForKernel();
+}
+
+void
+BuiltCluster::nameSpanComponents()
+{
     // Span component id space, in cluster construction order: links by
     // ordering id (link.cc records LinkTx under orderingId directly),
     // then switches, then SNIC slices nid-major / tenant-minor. The
     // name table ships inside the spans document so every component id
     // resolves to its stats/telemetry identity.
-    std::vector<std::string> span_comps;
-    if (spans_on) {
-        span_comps.reserve(links.size() + topo.numSwitches() +
-                           snics.size());
-        for (const auto &l : links)
-            span_comps.push_back(l->name());
-        const auto L = static_cast<std::uint32_t>(links.size());
-        for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
-            switches[sid]->setSpanComp(L + sid);
-            span_comps.push_back(switch_names[sid]);
-        }
-        const auto S = static_cast<std::uint32_t>(topo.numSwitches());
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-            for (std::uint32_t t = 0; t < T; ++t) {
-                Snic &sn = snic_at(nid, t);
-                sn.setSpanComp(L + S +
-                               static_cast<std::uint32_t>(
-                                   std::size_t{nid} * T + t));
-                span_comps.push_back(sn.name());
-            }
-        }
+    spanComps.reserve(links.size() + switches.size() + snics.size());
+    for (const auto &l : links)
+        spanComps.push_back(l->name());
+    for (SwitchId sid = 0; sid < switches.size(); ++sid) {
+        switches[sid]->setSpanComp(
+            static_cast<std::uint32_t>(spanComps.size()));
+        spanComps.push_back(switchNames[sid]);
     }
-
-    // --- Routing and per-kernel configuration ---
-    for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
-        Switch *sw = switches[sid].get();
-        sw->setRouteFn([&topo, sid](NodeId dest) {
-            return topo.route(sid, dest);
-        });
-        // Shared or partitioned, the cache provisions for the widest
-        // property in flight (capacity accounting only; checksums are
-        // what is stored).
-        sw->configureForKernel(max_prop_bytes);
+    for (const auto &sn : snics) {
+        sn->setSpanComp(static_cast<std::uint32_t>(spanComps.size()));
+        spanComps.push_back(sn->name());
     }
-    for (auto &snic : snics)
-        snic->configureForKernel();
+}
 
-    // --- Hosts: one per (node, tenant), admitted at its startDelay ---
-    std::vector<std::unique_ptr<HostNode>> hosts;
-    hosts.reserve(std::size_t{cfg_.numNodes} * T);
-    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-        for (std::uint32_t t = 0; t < T; ++t) {
-            hosts.push_back(std::make_unique<HostNode>(
-                node_queue(nid), cfg_.host, snic_at(nid, t),
-                std::move(jobs[t].work.streams[nid]), prop_bytes[t]));
-            // Completion is read off HostNode::done() after the run; a
-            // shared counter would be written concurrently from
-            // several shards.
-            if (jobs[t].startDelay == 0) {
-                hosts.back()->start([] {});
-            } else {
-                HostNode *h = hosts.back().get();
-                node_queue(nid).schedule(jobs[t].startDelay,
-                                         [h] { h->start([] {}); });
-            }
-        }
-    }
-    auto host_at = [&](NodeId nid, std::uint32_t t) -> HostNode & {
-        return *hosts[std::size_t{nid} * T + t];
-    };
-
-    // --- Background traffic ---
-    std::vector<std::unique_ptr<BackgroundSource>> bg_sources;
-    if (bg.enabled()) {
-        bg_sources.reserve(cfg_.numNodes);
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-            bg_sources.push_back(std::make_unique<BackgroundSource>(
-                node_queue(nid), bg, nid, cfg_.numNodes,
-                *nic_egress[nid]));
-            bg_sources.back()->start();
-        }
-    }
-
-    // --- Interval telemetry ---
+void
+BuiltCluster::registerTelemetry()
+{
     // One probe per shard; every entity is registered on the shard
     // whose events drive its state, under a cluster-wide order key
     // (links by ordering id, then switches, then RIGs, then tenants)
@@ -507,269 +535,178 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
     // observe exactly the events with tick < boundary
     // (sim/telemetry.hh), so every series is byte-identical at
     // 1/2/4 shards.
-    const Tick tele_interval = cfg_.telemetryInterval;
-    std::vector<std::unique_ptr<TelemetryProbe>> probes;
-    if (telemetry_on) {
-        probes.reserve(num_shards);
-        for (std::uint32_t s = 0; s < num_shards; ++s) {
-            probes.push_back(
-                std::make_unique<TelemetryProbe>(tele_interval));
-            probes.back()->attachTo(*queues[s]);
-        }
-        const std::size_t num_links = links.size();
-        for (std::size_t i = 0; i < num_links; ++i) {
-            Link *lk = links[i].get();
-            probes[link_shards[i]]->addEntity(
-                i, lk->name(), "link", {"utilization", "queuedBytes"},
-                [lk, tele_interval, last_busy = Tick{0}](
-                    Tick boundary, std::vector<double> &out) mutable {
-                    // Wire time committed this interval over the
-                    // interval; a burst that books the wire past the
-                    // boundary can push it above 1 (the backlog then
-                    // shows up in queuedBytes).
-                    Tick busy = lk->busyTicks();
-                    out.push_back(static_cast<double>(busy - last_busy) /
-                                  static_cast<double>(tele_interval));
-                    last_busy = busy;
-                    out.push_back(lk->queuedBytesAt(boundary));
+    const Tick interval = cfg.telemetryInterval;
+    for (const auto &q : queues) {
+        probes.push_back(std::make_unique<TelemetryProbe>(interval));
+        probes.back()->attachTo(*q);
+    }
+    const std::size_t num_links = links.size();
+    for (std::size_t i = 0; i < num_links; ++i) {
+        Link *lk = links[i].get();
+        probes[linkShards[i]]->addEntity(
+            i, lk->name(), "link", {"utilization", "queuedBytes"},
+            [lk, interval, last_busy = Tick{0}](
+                Tick boundary, std::vector<double> &out) mutable {
+                // Wire time committed this interval over the interval;
+                // a burst that books the wire past the boundary can
+                // push it above 1 (the backlog then shows up in
+                // queuedBytes).
+                Tick busy = lk->busyTicks();
+                out.push_back(static_cast<double>(busy - last_busy) /
+                              static_cast<double>(interval));
+                last_busy = busy;
+                out.push_back(lk->queuedBytesAt(boundary));
+            });
+    }
+    for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
+        Switch *sw = switches[sid].get();
+        probes[shardMap.shardOfSwitch(sid)]->addEntity(
+            num_links + sid, switchNames[sid], "switch",
+            {"outQueueBytes", "cacheHits", "cacheMisses", "cacheInserts"},
+            [sw, last_hits = std::uint64_t{0},
+             last_lookups = std::uint64_t{0},
+             last_inserts = std::uint64_t{0}](
+                Tick boundary, std::vector<double> &out) mutable {
+                double backlog = 0.0;
+                for (const Link *l : sw->outLinks())
+                    backlog += l->queuedBytesAt(boundary);
+                out.push_back(backlog);
+                std::uint64_t hits = sw->cacheHits();
+                std::uint64_t lookups = sw->cacheLookups();
+                std::uint64_t inserts = sw->cacheInserts();
+                out.push_back(static_cast<double>(hits - last_hits));
+                out.push_back(static_cast<double>(
+                    (lookups - last_lookups) - (hits - last_hits)));
+                out.push_back(static_cast<double>(inserts - last_inserts));
+                last_hits = hits;
+                last_lookups = lookups;
+                last_inserts = inserts;
+            });
+    }
+    const std::size_t rig_base = num_links + topo.numSwitches();
+    for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
+        for (std::uint32_t t = 0; t < T; ++t) {
+            Snic *sn = &snicAt(nid, t);
+            probes[shardMap.shardOfNode(nid)]->addEntity(
+                rig_base + std::size_t{nid} * T + t,
+                sliceName(nid, t, "rig"), "rig",
+                {"inflightPrs", "retransmits"},
+                [sn, last_retx = std::uint64_t{0}](
+                    Tick, std::vector<double> &out) mutable {
+                    out.push_back(static_cast<double>(sn->inflightPrs()));
+                    std::uint64_t retx = sn->totalRetransmits();
+                    out.push_back(static_cast<double>(retx - last_retx));
+                    last_retx = retx;
                 });
-        }
-        for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid) {
-            Switch *sw = switches[sid].get();
-            probes[shard_map.shardOfSwitch(sid)]->addEntity(
-                num_links + sid, switch_names[sid], "switch",
-                {"outQueueBytes", "cacheHits", "cacheMisses",
-                 "cacheInserts"},
-                [sw, last_hits = std::uint64_t{0},
-                 last_lookups = std::uint64_t{0},
-                 last_inserts = std::uint64_t{0}](
-                    Tick boundary, std::vector<double> &out) mutable {
-                    double backlog = 0.0;
-                    for (const Link *l : sw->outLinks())
-                        backlog += l->queuedBytesAt(boundary);
-                    out.push_back(backlog);
-                    std::uint64_t hits = sw->cacheHits();
-                    std::uint64_t lookups = sw->cacheLookups();
-                    std::uint64_t inserts = sw->cacheInserts();
-                    out.push_back(
-                        static_cast<double>(hits - last_hits));
-                    out.push_back(static_cast<double>(
-                        (lookups - last_lookups) - (hits - last_hits)));
-                    out.push_back(
-                        static_cast<double>(inserts - last_inserts));
-                    last_hits = hits;
-                    last_lookups = lookups;
-                    last_inserts = inserts;
-                });
-        }
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-            for (std::uint32_t t = 0; t < T; ++t) {
-                Snic *sn = &snic_at(nid, t);
-                std::string rig_id =
-                    multi ? "node" + std::to_string(nid) + ".job" +
-                                std::to_string(t) + ".rig"
-                          : "node" + std::to_string(nid) + ".rig";
-                probes[shard_map.shardOfNode(nid)]->addEntity(
-                    num_links + topo.numSwitches() +
-                        std::size_t{nid} * T + t,
-                    rig_id, "rig", {"inflightPrs", "retransmits"},
-                    [sn, last_retx = std::uint64_t{0}](
-                        Tick, std::vector<double> &out) mutable {
-                        out.push_back(
-                            static_cast<double>(sn->inflightPrs()));
-                        std::uint64_t retx = sn->totalRetransmits();
-                        out.push_back(
-                            static_cast<double>(retx - last_retx));
-                        last_retx = retx;
-                    });
-            }
-        }
-        if (multi) {
-            // Cluster-wide per-tenant series. Each shard samples its
-            // own slice of the tenant (its nodes' virtual SNICs) under
-            // the tenant's shared order key and id; the merge below
-            // folds same-id slices elementwise, so the published
-            // series is the cluster-wide sum regardless of how nodes
-            // landed on shards.
-            const std::size_t base = links.size() + topo.numSwitches() +
-                                     std::size_t{cfg_.numNodes} * T;
-            for (std::uint32_t s = 0; s < num_shards; ++s) {
-                for (std::uint32_t t = 0; t < T; ++t) {
-                    std::vector<Snic *> slice;
-                    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid)
-                        if (shard_map.shardOfNode(nid) == s)
-                            slice.push_back(&snic_at(nid, t));
-                    if (slice.empty())
-                        continue;
-                    probes[s]->addEntity(
-                        base + t, "tenant" + std::to_string(t),
-                        "tenant", {"inflightPrs", "rxPayloadBytes"},
-                        [slice = std::move(slice),
-                         last_payload = std::uint64_t{0}](
-                            Tick, std::vector<double> &out) mutable {
-                            std::uint64_t inflight = 0, payload = 0;
-                            for (const Snic *sn : slice) {
-                                inflight += sn->inflightPrs();
-                                payload += sn->rxPayloadBytes();
-                            }
-                            out.push_back(
-                                static_cast<double>(inflight));
-                            out.push_back(static_cast<double>(
-                                payload - last_payload));
-                            last_payload = payload;
-                        });
-                }
-            }
         }
     }
+    if (!multi)
+        return;
+    // Cluster-wide per-tenant series. Each shard samples its own slice
+    // of the tenant (its nodes' virtual SNICs) under the tenant's
+    // shared order key; buildTelemetryRun sums same-key slices, so the
+    // published series is the cluster-wide sum regardless of how nodes
+    // landed on shards.
+    const std::size_t tenant_base = rig_base + std::size_t{cfg.numNodes} * T;
+    for (std::uint32_t s = 0; s < shardMap.numShards; ++s) {
+        for (std::uint32_t t = 0; t < T; ++t) {
+            std::vector<Snic *> slice;
+            for (NodeId nid = 0; nid < cfg.numNodes; ++nid)
+                if (shardMap.shardOfNode(nid) == s)
+                    slice.push_back(&snicAt(nid, t));
+            if (slice.empty())
+                continue;
+            probes[s]->addEntity(
+                tenant_base + t, "tenant" + std::to_string(t), "tenant",
+                {"inflightPrs", "rxPayloadBytes"},
+                [slice = std::move(slice), last_payload = std::uint64_t{0}](
+                    Tick, std::vector<double> &out) mutable {
+                    std::uint64_t inflight = 0, payload = 0;
+                    for (const Snic *sn : slice) {
+                        inflight += sn->inflightPrs();
+                        payload += sn->rxPayloadBytes();
+                    }
+                    out.push_back(static_cast<double>(inflight));
+                    out.push_back(static_cast<double>(payload - last_payload));
+                    last_payload = payload;
+                });
+        }
+    }
+}
 
-    // --- Run ---
-    Tick final_tick = 0;
-    std::uint64_t executed_events = 0;
-    std::uint64_t epochs = 0;
-    ArenaStats memory;
-    if (num_shards == 1) {
-        queues[0]->runUntil(cfg_.maxSimTime);
-        final_tick = queues[0]->now();
-        executed_events = queues[0]->executedEvents();
-    } else {
-        std::vector<ShardEngine::Shard> shards(num_shards);
-        for (std::uint32_t d = 0; d < num_shards; ++d) {
-            shards[d].eq = queues[d].get();
-            // Drain inbound mailboxes in fixed source order; the
-            // banded delivery keys then restore the canonical event
-            // order inside the destination queue.
-            shards[d].drainInbox = [&mailboxes, &queues, d,
-                                    num_shards] {
-                EventQueue &dst = *queues[d];
-                for (std::uint32_t s = 0; s < num_shards; ++s) {
-                    mailboxes[s][d].box.drain(
-                        [&dst](PendingDelivery &&rec) {
-                            dst.scheduleDelivery(
-                                rec.when, rec.key,
-                                [sink = rec.sink, port = rec.port,
-                                 p = std::move(rec.pkt)]() mutable {
-                                    sink->receivePacket(std::move(p), port);
-                                });
-                        });
-                }
-            };
-        }
-        ShardEngine::Result res =
-            ShardEngine::run(std::move(shards), lookahead,
-                             cfg_.maxSimTime);
-        final_tick = res.finalTick;
-        executed_events = res.executedEvents;
-        epochs = res.epochs;
-        memory = res.memory;
+
+ShardEngine::Result
+BuiltCluster::run()
+{
+    std::vector<ShardEngine::Shard> shards(queues.size());
+    for (std::size_t d = 0; d < shards.size(); ++d) {
+        shards[d].eq = queues[d].get();
+        // Drain inbound mailboxes in fixed source order; the banded
+        // delivery keys then restore the canonical event order inside
+        // the destination queue.
+        shards[d].drainInbox = [this, d] {
+            for (auto &row : mailboxes)
+                drainDeliveries(row[d].box, *queues[d]);
+        };
     }
+    ShardEngine::Result e =
+        ShardEngine::run(std::move(shards), lookahead, cfg.maxSimTime);
     // The run has drained: every buffer is back in its pool. Total the
-    // pools and free them (the sequential engine's live here).
-    memory.add(drainThreadArenas());
-    std::uint32_t done_count = 0;
+    // pools and free them (a one-shard run's live on this thread).
+    e.memory.add(drainThreadArenas());
+
+    std::size_t done_count = 0;
     for (const auto &h : hosts)
         done_count += h->done() ? 1 : 0;
-    if (done_count != cfg_.numNodes * T) {
+    if (done_count != hosts.size()) {
         ns_fatal("gather deadlocked or exceeded the simulation cap: ",
-                 done_count, "/", cfg_.numNodes * T,
-                 " hosts finished by ", ticks::toNs(final_tick), " ns");
+                 done_count, "/", hosts.size(), " hosts finished by ",
+                 ticks::toNs(e.finalTick), " ns");
     }
+    return e;
+}
 
-    // --- Merge spans ---
-    if (spans_on) {
+void
+BuiltCluster::merge(Tick final_tick)
+{
+    if (spansOn) {
         std::vector<SpanBuffer *> bufs;
-        bufs.reserve(span_bufs.size());
-        for (auto &b : span_bufs)
+        for (auto &b : spanBufs)
             bufs.push_back(b.get());
         SpanRun &srun = SpanSink::instance().beginRun();
-        srun.params = span_params;
+        srun.params = spanParams;
         srun.finalTick = final_tick;
-        srun.components = span_comps;
+        srun.components = std::move(spanComps);
         buildSpanRun(srun, bufs);
         // Also render the kept spans as Perfetto async spans when a
         // trace is being captured alongside.
         if (NS_TRACE_ON())
             exportSpansToTrace(TraceWriter::instance(), srun);
     }
-
-    // --- Merge telemetry ---
-    if (telemetry_on) {
-        // Boundaries past each shard's last event never fired in the
-        // dispatch loop; sample them against the global final tick so
-        // every probe ends with the same timeline.
+    if (telemetryOn) {
+        std::vector<TelemetryProbe *> shard_probes;
         for (auto &p : probes)
-            p->flushUntil(final_tick);
-        const std::size_t samples = probes[0]->numSamples();
-        for (const auto &p : probes)
-            ns_assert(p->numSamples() == samples,
-                      "telemetry probes disagree on the sample count");
-        TelemetrySink::Run &trun = TelemetrySink::instance().beginRun();
-        trun.intervalTicks = tele_interval;
-        trun.finalTick = final_tick;
-        trun.sampleTicks.reserve(samples);
-        for (std::size_t i = 1; i <= samples; ++i)
-            trun.sampleTicks.push_back(i * tele_interval);
-        for (auto &p : probes)
-            for (auto &e : p->takeEntities())
-                trun.entities.push_back(std::move(e));
-        if (multi) {
-            // Fold each tenant's per-shard slices into one entity.
-            std::vector<TelemetryEntity> folded;
-            for (auto &e : trun.entities) {
-                if (e.kind != "tenant") {
-                    folded.push_back(std::move(e));
-                    continue;
-                }
-                auto it = std::find_if(
-                    folded.begin(), folded.end(),
-                    [&e](const TelemetryEntity &f) {
-                        return f.kind == "tenant" && f.id == e.id;
-                    });
-                if (it == folded.end()) {
-                    folded.push_back(std::move(e));
-                    continue;
-                }
-                for (std::size_t si = 0; si < e.series.size(); ++si)
-                    for (std::size_t j = 0; j < e.series[si].size();
-                         ++j)
-                        it->series[si][j] += e.series[si][j];
-            }
-            trun.entities = std::move(folded);
-        }
-        std::sort(trun.entities.begin(), trun.entities.end(),
-                  [](const TelemetryEntity &a, const TelemetryEntity &b) {
-                      return a.order < b.order;
-                  });
-        // Per-shard event throughput is the one inherently
-        // shard-dependent series; the document carries the cluster-wide
-        // sum as a single trailing "sim" entity (exact: the counts are
-        // integers far below 2^53).
-        TelemetryEntity sim;
-        sim.order = links.size() + topo.numSwitches() +
-                    std::size_t{cfg_.numNodes} * T + (multi ? T : 0);
-        sim.id = "sim";
-        sim.kind = "sim";
-        sim.seriesNames = {"events"};
-        sim.series.emplace_back(samples, 0.0);
-        for (const auto &p : probes) {
-            const auto &ev = p->eventsPerInterval();
-            for (std::size_t i = 0; i < samples; ++i)
-                sim.series[0][i] += ev[i];
-        }
-        trun.entities.push_back(std::move(sim));
+            shard_probes.push_back(p.get());
+        buildTelemetryRun(TelemetrySink::instance().beginRun(),
+                          shard_probes, final_tick);
     }
+}
 
-    // --- Collect results ---
+MultiJobResult
+BuiltCluster::collect(const ShardEngine::Result &e) const
+{
     MultiJobResult mr;
+    record(mr, e);
     mr.jobs.resize(T);
     for (std::uint32_t t = 0; t < T; ++t) {
         GatherRunResult &r = mr.jobs[t];
-        r.nodes.resize(cfg_.numNodes);
-        std::uint64_t job_rx_prs = 0, job_rx_packets = 0;
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
+        record(r, e);
+        r.nodes.resize(cfg.numNodes);
+        std::uint64_t rx_prs = 0, rx_packets = 0;
+        for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
             NodeRunStats &st = r.nodes[nid];
-            const HostNode &host = host_at(nid, t);
-            const Snic &sn = snic_at(nid, t);
+            const HostNode &host = *hosts[std::size_t{nid} * T + t];
+            const Snic &sn = snicAt(nid, t);
             st.finishTick = host.finishTick();
             RigClientStats cs = sn.aggregateClientStats();
             st.idxsProcessed = cs.idxsProcessed;
@@ -793,42 +730,32 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
             st.rxPayloadBytes = sn.rxPayloadBytes();
             st.rxResponses = sn.rxResponses();
             st.rxReads = sn.rxReads();
-            job_rx_prs += st.rxResponses + st.rxReads;
-            job_rx_packets += st.rxPackets;
+            rx_prs += st.rxResponses + st.rxReads;
+            rx_packets += st.rxPackets;
             if (st.finishTick > r.commTicks) {
                 r.commTicks = st.finishTick;
                 r.tailNode = nid;
             }
         }
-        r.recoveryEnabled = recovery_enabled;
-        r.faultsEnabled = cfg_.faults.enabled();
+        r.recoveryEnabled = recoveryEnabled;
+        r.faultsEnabled = cfg.faults.enabled();
         r.avgPrsPerPacket =
-            job_rx_packets ? static_cast<double>(job_rx_prs) /
-                                 job_rx_packets
-                           : 0.0;
-        r.executedEvents = executed_events;
-        r.finalTick = final_tick;
-        r.simShards = num_shards;
-        r.lookaheadTicks = num_shards > 1 ? lookahead : 0;
-        r.epochs = epochs;
+            rx_packets ? static_cast<double>(rx_prs) / rx_packets : 0.0;
         if (T > 1)
             for (const auto &sw : switches)
                 r.prsServedByCache += sw->prsServedByCache(t);
         // The SLO denominator is the job's own active span: admission
         // (startDelay) to its tail node's completion. With one job at
         // t0 this is exactly the legacy commTicks window.
-        Tick duration = r.commTicks > jobs[t].startDelay
-                            ? r.commTicks - jobs[t].startDelay
-                            : 0;
+        const Tick start = jobs[t].startDelay;
+        const Tick duration = r.commTicks > start ? r.commTicks - start : 0;
         if (duration > 0) {
-            double line_bpp = cfg_.link.bandwidth.bytesPerPs();
+            double line_bpp = cfg.link.bandwidth.bytesPerPs();
             const NodeRunStats &tail = r.tail();
-            r.tailLineUtil =
-                static_cast<double>(tail.rxBytes) /
-                (static_cast<double>(duration) * line_bpp);
-            r.tailGoodput =
-                static_cast<double>(tail.rxPayloadBytes) /
-                (static_cast<double>(duration) * line_bpp);
+            r.tailLineUtil = static_cast<double>(tail.rxBytes) /
+                             (static_cast<double>(duration) * line_bpp);
+            r.tailGoodput = static_cast<double>(tail.rxPayloadBytes) /
+                            (static_cast<double>(duration) * line_bpp);
         }
         mr.makespanTicks = std::max(mr.makespanTicks, r.commTicks);
     }
@@ -841,12 +768,7 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         mr.cacheHits += sw->cacheHits();
         mr.prsServedByCache += sw->prsServedByCache();
     }
-    mr.executedEvents = executed_events;
-    mr.finalTick = final_tick;
-    mr.simShards = num_shards;
-    mr.lookaheadTicks = num_shards > 1 ? lookahead : 0;
-    mr.epochs = epochs;
-    for (const auto &src : bg_sources) {
+    for (const auto &src : bgSources) {
         mr.backgroundPackets += src->packetsInjected();
         mr.backgroundBytes += src->bytesInjected();
     }
@@ -859,9 +781,12 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
         // itself (shared-fabric splits are well defined with one
         // tenant).
         GatherRunResult &r = mr.jobs[0];
+        r.totalWireBytes = mr.totalWireBytes;
+        r.packetsDropped = mr.packetsDropped;
+        r.cacheLookups = mr.cacheLookups;
+        r.cacheHits = mr.cacheHits;
+        r.prsServedByCache = mr.prsServedByCache;
         for (const auto &l : links) {
-            r.totalWireBytes += l->bytesSent();
-            r.packetsDropped += l->packetsDropped();
             if (const LinkFaultInjector *fi = l->faults()) {
                 r.corruptedPrs += fi->stats().corruptedPrs;
                 r.linkDownDrops += fi->stats().linkDownDrops;
@@ -870,110 +795,118 @@ JobScheduler::run(std::vector<JobSpec> &&jobs,
             }
         }
         for (const auto &sw : switches) {
-            r.cacheLookups += sw->cacheLookups();
-            r.cacheHits += sw->cacheHits();
-            r.prsServedByCache += sw->prsServedByCache();
             r.cachePoisonRejected += sw->poisonRejected();
             r.cacheBypasses += sw->cacheBypasses();
         }
     }
+    return mr;
+}
 
-    // --- Detailed observability snapshot (--stats-json) ---
+void
+BuiltCluster::exportSnapshot(const MultiJobResult &mr,
+                             const ShardEngine::Result &e) const
+{
     // Deposited while the components are still alive, so the snapshot
     // carries per-RIG-unit, per-concatenator and per-switch-cache
     // counters that GatherRunResult does not retain.
-    if (StatsExport::instance().enabled()) {
-        StatRegistry &reg = StatsExport::instance().beginRun();
-        if (!multi) {
-            // The legacy single-job document, byte for byte.
-            mr.jobs[0].exportStats(reg);
-        } else {
-            reg.set("cluster.jobs", static_cast<double>(T));
-            reg.set("cluster.makespanTicks",
-                    static_cast<double>(mr.makespanTicks));
-            reg.set("cluster.totalWireBytes",
-                    static_cast<double>(mr.totalWireBytes));
-            reg.set("cluster.cacheLookups",
-                    static_cast<double>(mr.cacheLookups));
-            reg.set("cluster.cacheHits",
-                    static_cast<double>(mr.cacheHits));
-            reg.set("cluster.prsServedByCache",
-                    static_cast<double>(mr.prsServedByCache));
-            for (std::uint32_t t = 0; t < T; ++t)
-                exportTenantStats(reg,
-                                  "cluster.tenant" + std::to_string(t),
-                                  mr.jobs[t], jobs[t].startDelay);
-            if (bg.enabled()) {
-                reg.set("cluster.background.packetsInjected",
-                        static_cast<double>(mr.backgroundPackets));
-                reg.set("cluster.background.bytesInjected",
-                        static_cast<double>(mr.backgroundBytes));
-                reg.set("cluster.background.packetsDelivered",
-                        static_cast<double>(mr.backgroundDelivered));
-                reg.set("cluster.background.bytesDelivered",
-                        static_cast<double>(
-                            mr.backgroundDeliveredBytes));
-            }
-        }
-        for (NodeId nid = 0; nid < cfg_.numNodes; ++nid) {
-            std::string node = "node" + std::to_string(nid);
-            for (std::uint32_t t = 0; t < T; ++t)
-                snic_at(nid, t).exportStats(
-                    reg, multi ? node + ".job" + std::to_string(t) +
-                                     ".snic"
-                               : node + ".snic");
-            const Link *tx = nic_egress[nid];
-            reg.set(node + ".tx.packets",
-                    static_cast<double>(tx->packetsSent()));
-            reg.set(node + ".tx.bytes",
-                    static_cast<double>(tx->bytesSent()));
-            reg.set(node + ".tx.payloadBytes",
-                    static_cast<double>(tx->payloadBytesSent()));
-            reg.set(node + ".tx.busyTicks",
-                    static_cast<double>(tx->busyTicks()));
-            reg.set(node + ".tx.utilization", tx->utilization());
-        }
-        for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid)
-            switches[sid]->exportStats(reg, switch_names[sid]);
-        reg.set("sim.executedEvents",
-                static_cast<double>(executed_events));
-        reg.set("sim.finalTick", static_cast<double>(final_tick));
-        if (telemetry_on) {
-            // Cluster-wide PR latency decomposition; per-node averages
-            // ride each SNIC's own exportStats above. Gated so the
-            // telemetry-off document stays byte-identical.
-            if (!multi) {
-                PrLatencyStats agg;
-                for (const auto &sn : snics)
-                    agg.merge(*sn->prLatency());
-                agg.exportStats(reg, "cluster.prLatency");
-            } else {
-                for (std::uint32_t t = 0; t < T; ++t) {
-                    PrLatencyStats agg;
-                    for (NodeId nid = 0; nid < cfg_.numNodes; ++nid)
-                        agg.merge(*snic_at(nid, t).prLatency());
-                    agg.exportStats(reg, "cluster.tenant" +
-                                             std::to_string(t) +
-                                             ".prLatency");
-                }
-            }
-        }
-        if (cfg_.memoryStats) {
-            // This run's arena accounting (sim/arena.hh), summed over
-            // its shard workers. Gated: host diagnostics, outside the
-            // byte-identical stats contract (see ClusterConfig).
-            reg.set("cluster.memory.arenaReservedBytes",
-                    static_cast<double>(memory.reservedBytes));
-            reg.set("cluster.memory.arenaHighWaterBytes",
-                    static_cast<double>(memory.highWaterBytes));
-            reg.set("cluster.memory.arenaPoolHits",
-                    static_cast<double>(memory.poolHits));
-            reg.set("cluster.memory.arenaPoolMisses",
-                    static_cast<double>(memory.poolMisses));
-            reg.set("cluster.memory.arenaPooledBuffers",
-                    static_cast<double>(memory.pooledBuffers));
+    StatRegistry &reg = StatsExport::instance().beginRun();
+    if (!multi) {
+        // The legacy single-job document, byte for byte.
+        mr.jobs[0].exportStats(reg);
+    } else {
+        reg.set("cluster.jobs", static_cast<double>(T));
+        reg.set("cluster.makespanTicks",
+                static_cast<double>(mr.makespanTicks));
+        reg.set("cluster.totalWireBytes",
+                static_cast<double>(mr.totalWireBytes));
+        reg.set("cluster.cacheLookups", static_cast<double>(mr.cacheLookups));
+        reg.set("cluster.cacheHits", static_cast<double>(mr.cacheHits));
+        reg.set("cluster.prsServedByCache",
+                static_cast<double>(mr.prsServedByCache));
+        for (std::uint32_t t = 0; t < T; ++t)
+            exportTenantStats(reg, "cluster.tenant" + std::to_string(t),
+                              mr.jobs[t], jobs[t].startDelay);
+        if (bg.enabled()) {
+            reg.set("cluster.background.packetsInjected",
+                    static_cast<double>(mr.backgroundPackets));
+            reg.set("cluster.background.bytesInjected",
+                    static_cast<double>(mr.backgroundBytes));
+            reg.set("cluster.background.packetsDelivered",
+                    static_cast<double>(mr.backgroundDelivered));
+            reg.set("cluster.background.bytesDelivered",
+                    static_cast<double>(mr.backgroundDeliveredBytes));
         }
     }
+    for (NodeId nid = 0; nid < cfg.numNodes; ++nid) {
+        for (std::uint32_t t = 0; t < T; ++t)
+            snicAt(nid, t).exportStats(reg, snicAt(nid, t).name());
+        const std::string node = "node" + std::to_string(nid);
+        const Link *tx = nicEgress[nid];
+        reg.set(node + ".tx.packets", static_cast<double>(tx->packetsSent()));
+        reg.set(node + ".tx.bytes", static_cast<double>(tx->bytesSent()));
+        reg.set(node + ".tx.payloadBytes",
+                static_cast<double>(tx->payloadBytesSent()));
+        reg.set(node + ".tx.busyTicks", static_cast<double>(tx->busyTicks()));
+        reg.set(node + ".tx.utilization", tx->utilization());
+    }
+    for (SwitchId sid = 0; sid < topo.numSwitches(); ++sid)
+        switches[sid]->exportStats(reg, switchNames[sid]);
+    reg.set("sim.executedEvents", static_cast<double>(e.executedEvents));
+    reg.set("sim.finalTick", static_cast<double>(e.finalTick));
+    if (telemetryOn) {
+        // Cluster-wide PR latency decomposition; per-node averages ride
+        // each SNIC's own exportStats above. Gated so the telemetry-off
+        // document stays byte-identical.
+        for (std::uint32_t t = 0; t < T; ++t) {
+            PrLatencyStats agg;
+            for (NodeId nid = 0; nid < cfg.numNodes; ++nid)
+                agg.merge(*snicAt(nid, t).prLatency());
+            agg.exportStats(reg, multi ? "cluster.tenant" +
+                                             std::to_string(t) + ".prLatency"
+                                       : "cluster.prLatency");
+        }
+    }
+    if (cfg.memoryStats) {
+        // This run's arena accounting (sim/arena.hh), summed over its
+        // shard workers. Gated: host diagnostics, outside the
+        // byte-identical stats contract (see ClusterConfig).
+        const ArenaStats &m = e.memory;
+        reg.set("cluster.memory.arenaReservedBytes", m.reservedBytes);
+        reg.set("cluster.memory.arenaHighWaterBytes", m.highWaterBytes);
+        reg.set("cluster.memory.arenaPoolHits", m.poolHits);
+        reg.set("cluster.memory.arenaPoolMisses", m.poolMisses);
+        reg.set("cluster.memory.arenaPooledBuffers", m.pooledBuffers);
+    }
+}
+
+} // namespace
+
+JobScheduler::JobScheduler(ClusterConfig cfg) : cfg_(std::move(cfg))
+{
+    if (cfg_.eventBatching) {
+        if (cfg_.link.batchMaxPackets <= 1)
+            cfg_.link.batchMaxPackets = 16;
+        cfg_.snic.batchedServerReads = true;
+    }
+    ns_assert(cfg_.numNodes >= 1, "cluster needs nodes");
+    ns_assert(!cfg_.features.switchCache || cfg_.features.concatSwitch,
+              "the Property Cache lives in the middle pipes; enable "
+              "switch concatenation with it");
+}
+
+MultiJobResult
+JobScheduler::run(std::vector<JobSpec> &&jobs,
+                  const BackgroundTrafficConfig &bg)
+{
+    // Buffer pools live for one run: whatever this thread parked before
+    // (a bench's own concatenator, an aborted run) is not this run's.
+    drainThreadArenas();
+    BuiltCluster cluster(cfg_, std::move(jobs), bg);
+    const ShardEngine::Result engine = cluster.run();
+    cluster.merge(engine.finalTick);
+    MultiJobResult mr = cluster.collect(engine);
+    if (StatsExport::instance().enabled())
+        cluster.exportSnapshot(mr, engine);
     return mr;
 }
 

@@ -95,8 +95,6 @@ class JobScheduler
     MultiJobResult run(std::vector<JobSpec> &&jobs,
                        const BackgroundTrafficConfig &bg = {});
 
-    const ClusterConfig &config() const { return cfg_; }
-
   private:
     ClusterConfig cfg_;
 };

@@ -1,5 +1,7 @@
 #include "sim/telemetry.hh"
 
+#include <algorithm>
+
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
@@ -73,6 +75,61 @@ TelemetryProbe::flushUntil(Tick finalTick)
         sampleAt(next_);
         next_ += interval_;
     }
+}
+
+void
+buildTelemetryRun(TelemetryRun &run,
+                  const std::vector<TelemetryProbe *> &probes,
+                  Tick finalTick)
+{
+    ns_assert(!probes.empty(), "telemetry merge without probes");
+    // Boundaries past a shard's last event never fired in its dispatch
+    // loop; sample them against the global final tick so every probe
+    // ends with the same timeline.
+    for (TelemetryProbe *p : probes)
+        p->flushUntil(finalTick);
+    const std::size_t samples = probes[0]->numSamples();
+    run.intervalTicks = probes[0]->interval();
+    run.finalTick = finalTick;
+    for (std::size_t i = 1; i <= samples; ++i)
+        run.sampleTicks.push_back(i * run.intervalTicks);
+    // Per-shard event throughput is the one inherently shard-dependent
+    // series; the document carries the cluster-wide sum as a single
+    // trailing "sim" entity. These sums, like the slice fold's, add
+    // integer counts far below 2^53, so they are exact in any order.
+    TelemetryEntity sim;
+    sim.id = "sim";
+    sim.kind = "sim";
+    sim.seriesNames = {"events"};
+    sim.series.emplace_back(samples, 0.0);
+    std::vector<TelemetryEntity> slices;
+    for (TelemetryProbe *p : probes) {
+        ns_assert(p->numSamples() == samples,
+                  "telemetry probes disagree on the sample count");
+        for (TelemetryEntity &e : p->takeEntities())
+            slices.push_back(std::move(e));
+        for (std::size_t i = 0; i < samples; ++i)
+            sim.series[0][i] += p->eventsPerInterval()[i];
+    }
+    std::stable_sort(slices.begin(), slices.end(),
+                     [](const TelemetryEntity &a, const TelemetryEntity &b) {
+                         return a.order < b.order;
+                     });
+    for (TelemetryEntity &e : slices) {
+        if (run.entities.empty() || run.entities.back().order != e.order) {
+            run.entities.push_back(std::move(e));
+            continue;
+        }
+        TelemetryEntity &whole = run.entities.back();
+        ns_assert(whole.id == e.id && whole.series.size() == e.series.size(),
+                  "telemetry entities ", whole.id, " and ", e.id,
+                  " share order key ", e.order);
+        for (std::size_t s = 0; s < e.series.size(); ++s)
+            for (std::size_t k = 0; k < samples; ++k)
+                whole.series[s][k] += e.series[s][k];
+    }
+    sim.order = run.entities.empty() ? 0 : run.entities.back().order + 1;
+    run.entities.push_back(std::move(sim));
 }
 
 void

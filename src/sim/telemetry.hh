@@ -139,6 +139,15 @@ struct RunFormat<TelemetryRun>
     static void write(std::ostream &os, const TelemetryRun &run);
 };
 
+/**
+ * Merge every shard's probe into @p run, flushed to @p finalTick, in
+ * order-key order. Entities that share an order key are slices of one
+ * entity sampled on several shards: their series are summed.
+ */
+void buildTelemetryRun(TelemetryRun &run,
+                       const std::vector<TelemetryProbe *> &probes,
+                       Tick finalTick);
+
 /** The collector behind --telemetry-out (see the file comment). */
 using TelemetrySink = RunDocument<TelemetryRun>;
 

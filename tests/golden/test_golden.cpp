@@ -193,9 +193,10 @@ runCase(const GoldenCase &c, std::uint32_t shards)
             jobs[1].startDelay = 2 * ticks::us;
         }
         BackgroundTrafficConfig bg;
-        if (c.incast)
+        if (c.incast) {
             EXPECT_TRUE(
                 BackgroundTrafficConfig::parse("incast:0.4:300", bg));
+        }
         JobScheduler(cfg).run(std::move(jobs), bg);
     }
     return {digestOf(stats.toJson()), digestOf(telemetry.toJson()),
