@@ -12,13 +12,13 @@
  *     scale  : matrix scale factor                     (default 0.25)
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "baseline/baselines.hh"
 #include "runtime/cluster.hh"
+#include "sim/cli.hh"
 #include "sparse/generators.hh"
 
 using namespace netsparse;
@@ -27,9 +27,12 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "arabic";
-    std::uint32_t k = argc > 2 ? std::atoi(argv[2]) : 16;
-    std::uint32_t nodes = argc > 3 ? std::atoi(argv[3]) : 32;
-    double scale = argc > 4 ? std::atof(argv[4]) : 0.25;
+    // A value that is not a number exits 2 naming the argument.
+    auto k = static_cast<std::uint32_t>(
+        argc > 2 ? parseUint("K", argv[2], 0, UINT32_MAX) : 16);
+    auto nodes = static_cast<std::uint32_t>(
+        argc > 3 ? parseUint("nodes", argv[3], 0, UINT32_MAX) : 32);
+    double scale = argc > 4 ? parseDouble("scale", argv[4]) : 0.25;
 
     MatrixKind kind = MatrixKind::Arabic;
     bool found = false;

@@ -81,6 +81,7 @@
 #include "runtime/cluster.hh"
 #include "runtime/job_scheduler.hh"
 #include "sim/cli.hh"
+#include "sim/logging.hh"
 #include "sim/span.hh"
 #include "sim/stats.hh"
 #include "sparse/generators.hh"
@@ -347,7 +348,10 @@ main(int argc, char **argv)
         }
     } catch (const std::exception &e) {
         outputs.discard();
-        std::fprintf(stderr, "%s\n", e.what());
+        // ns_fatal and ns_panic have printed their message already.
+        if (!dynamic_cast<const FatalError *>(&e) &&
+            !dynamic_cast<const PanicError *>(&e))
+            std::fprintf(stderr, "%s\n", e.what());
         return 1;
     }
 

@@ -26,6 +26,7 @@
 
 #include "analysis/critical_path.hh"
 #include "analysis/telemetry_report.hh"
+#include "sim/cli.hh"
 
 using namespace netsparse;
 
@@ -65,7 +66,7 @@ main(int argc, char **argv)
         if (a == "--run") {
             if (++i >= argc)
                 usage(argv[0]);
-            run_index = static_cast<std::size_t>(std::atoi(argv[i]));
+            run_index = parseUint("--run", argv[i]);
         } else if (a == "--spans") {
             if (++i >= argc)
                 usage(argv[0]);

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <thread>
 
-#include "sim/logging.hh"
+#include "sim/cli.hh"
 
 namespace netsparse {
 
@@ -34,9 +34,8 @@ resolveShardCount(std::uint32_t requested, std::uint32_t racks)
             std::uint32_t cores = std::thread::hardware_concurrency();
             want = std::max<std::uint32_t>(1, std::min(racks, cores));
         } else {
-            long v = std::strtol(env, nullptr, 10);
-            ns_assert(v >= 1, "bad NETSPARSE_SIM_SHARDS: ", env);
-            want = static_cast<std::uint32_t>(v);
+            want = static_cast<std::uint32_t>(
+                parseUint("NETSPARSE_SIM_SHARDS", env, 1, UINT32_MAX));
         }
     }
     return std::clamp<std::uint32_t>(want, 1, std::max(1u, racks));

@@ -1,7 +1,6 @@
 #include "sim/logging.hh"
 
 #include <cstdio>
-#include <stdexcept>
 
 namespace netsparse {
 
@@ -30,7 +29,7 @@ panicImpl(const char *file, int line, const std::string &msg)
     std::fflush(stderr);
     // Throw instead of abort() so tests can assert on panics; uncaught,
     // the exception still terminates the process with a diagnostic.
-    throw std::logic_error("panic: " + msg);
+    throw PanicError("panic: " + msg);
 }
 
 void
@@ -38,7 +37,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::fflush(stderr);
-    throw std::runtime_error("fatal: " + msg);
+    throw FatalError("fatal: " + msg);
 }
 
 void

@@ -14,9 +14,22 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace netsparse {
+
+/** What ns_fatal throws, once it has printed the message to stderr. */
+struct FatalError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/** What ns_panic throws, once it has printed the message to stderr. */
+struct PanicError : std::logic_error
+{
+    using std::logic_error::logic_error;
+};
 
 namespace detail {
 

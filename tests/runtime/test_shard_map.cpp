@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -183,8 +182,27 @@ TEST(ResolveShardCount, AutoPicksRacksCappedByHardware)
     EXPECT_LE(got, 8u);
 }
 
+// A bad value exits 2 with a message naming the variable, like a bad
+// command-line flag, instead of panicking or running misparsed.
 TEST(ResolveShardCount, RejectsGarbage)
 {
     ScopedShardEnv env("zero");
-    EXPECT_THROW(resolveShardCount(0, 8), std::logic_error);
+    EXPECT_EXIT(resolveShardCount(0, 8), ::testing::ExitedWithCode(2),
+                "NETSPARSE_SIM_SHARDS: expected an integer >= 1, got 'zero'");
+}
+
+TEST(ResolveShardCount, RejectsTrailingCharacters)
+{
+    ScopedShardEnv env("4x");
+    EXPECT_EXIT(resolveShardCount(0, 8), ::testing::ExitedWithCode(2),
+                "NETSPARSE_SIM_SHARDS: .*got '4x'");
+}
+
+TEST(ResolveShardCount, RejectsZeroAndNegativeCounts)
+{
+    for (const char *bad : {"0", "-2"}) {
+        ScopedShardEnv env(bad);
+        EXPECT_EXIT(resolveShardCount(0, 8), ::testing::ExitedWithCode(2),
+                    std::string("NETSPARSE_SIM_SHARDS: .*got '") + bad);
+    }
 }
