@@ -133,7 +133,8 @@ main(int argc, char **argv)
         if (std::string(argv[i]) == "--out")
             out = argv[i + 1];
         else if (std::string(argv[i]) == "--repeats")
-            repeats = std::max(1, std::atoi(argv[i + 1]));
+            repeats = std::max<int>(
+                1, parseUint("--repeats", argv[i + 1], 0, INT32_MAX));
     }
 
     const std::uint32_t nodes = 128;
@@ -146,7 +147,8 @@ main(int argc, char **argv)
     bool shards_forced = false;
     if (const char *env = std::getenv("NETSPARSE_PERF_SHARDS");
         env && *env) {
-        par_shards = std::max(1, std::atoi(env));
+        par_shards = std::max<std::uint32_t>(
+            1, parseUint("NETSPARSE_PERF_SHARDS", env, 0, UINT32_MAX));
         shards_forced = true;
     }
     // One core cannot exhibit a parallel speedup - the workers would
